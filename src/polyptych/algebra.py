@@ -76,11 +76,6 @@ def add(f, g):
     return element(list(f.items()) + list(g.items()))
 
 
-def scale(c, f):
-    c = Fraction(c)
-    return {m: c * v for m, v in f.items()} if c else {}
-
-
 # ---------------------------------------------------------------------------
 # relations
 
@@ -113,12 +108,6 @@ def tail_element(tail):
     if tail[0] == "Y":
         return {y_var(tail[1]): Fraction(1)}
     return {mono_mul(x_var(tail[1]), y_var(tail[2])): Fraction(1)}
-
-
-def relation_element(p, tails):
-    """g_p = X_p Y_p - 1 - tail as an algebra element of the free ring."""
-    g = {mono_mul(x_var(p), y_var(p)): Fraction(1), ONE: Fraction(-1)}
-    return add(g, scale(-1, tail_element(tails[p])))
 
 
 def normal_form(f, tails, rank=None):
@@ -155,16 +144,6 @@ def multiply(f, g, tails):
     return normal_form(element(prod), tails)
 
 
-def leading_coprime_check(relations_vars):
-    """Pairwise coprimality of the leading monomials X_p Y_p."""
-    seen = set()
-    for p in relations_vars:
-        if p in seen:
-            return False
-        seen.add(p)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # standard monomials <-> lattice elements
 
@@ -185,10 +164,10 @@ def hat_e(poset, classification, p):
     vec = [0] * len(axis)
     prefix = _zigzag_prefix(classification, p)
     if prefix is None:
-        vec[axis.index(p)] = 1
+        vec[poset.index(p)] = 1
     else:
         for q in prefix:
-            vec[axis.index(q)] = 1
+            vec[poset.index(q)] = 1
     return tuple(vec)
 
 
@@ -212,11 +191,11 @@ def m_to_monomial(poset, classification, vec):
         idx, k = classification.lower_pos[p]
         comp = classification.components[idx]
         if comp.n_c == 0:
-            coeff[p] = vec[axis.index(p)]
+            coeff[p] = vec[poset.index(p)]
             continue
         nxt = comp.lower[k] if k < len(comp.lower) else None
-        here = vec[axis.index(p)]
-        there = vec[axis.index(nxt)] if nxt in poset.axis else 0
+        here = vec[poset.index(p)]
+        there = vec[poset.index(nxt)] if nxt in poset.axis else 0
         coeff[p] = here - there
     return mono({p: (max(c, 0), max(-c, 0)) for p, c in coeff.items()})
 

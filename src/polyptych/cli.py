@@ -32,10 +32,16 @@ def _parse_lambda(text):
         raise click.UsageError(f"bad marking list {text!r}")
 
 
-def _parse_chart(text):
+def _parse_chart(text, poset):
     if not text:
         return frozenset()
-    return frozenset(text.split(","))
+    chart = frozenset(text.split(","))
+    unknown = sorted(chart - set(poset.axis))
+    if unknown:
+        raise click.UsageError(
+            f"unknown chart element(s) {', '.join(unknown)}; a chart is a "
+            f"comma-separated subset of {', '.join(poset.axis)}")
+    return chart
 
 
 def _parse_vector(text):
@@ -104,7 +110,7 @@ def _emit(report, ok=True):
 def _source_options(fn):
     fn = click.option("--family", default=None,
                       help="builder family: gtA or gtC")(fn)
-    fn = click.option("--n", type=int, default=None)(fn)
+    fn = click.option("--n", type=click.IntRange(min=1), default=None)(fn)
     fn = click.option("--lambda", "lam", default="",
                       help="comma-separated marking values")(fn)
     fn = click.option("--poset", type=click.Path(exists=True), default=None,
@@ -158,12 +164,12 @@ def classify(**params):
 @main.command()
 @_source_options
 @click.option("--chart", default="", help="comma-separated chart elements")
-@click.option("--k", type=int, default=1)
+@click.option("--k", type=click.IntRange(min=0), default=1)
 def polytope(chart, k, **params):
     """H-description and lattice-point count of a centered chart polytope."""
     poset, _ = _load_poset(params)
+    chart = _parse_chart(chart, poset)
     u = _shift(poset)
-    chart = _parse_chart(chart)
     hd = mco.hat_delta(poset, u, chart)
     points = mco.lattice_points_of_hat_delta(poset, u, chart, k)
     _emit({"command": "polytope", "chart": mco.chart_str(chart), "k": k,
@@ -174,7 +180,7 @@ def polytope(chart, k, **params):
 
 @main.command()
 @_source_options
-@click.option("--k", type=int, default=1)
+@click.option("--k", type=click.IntRange(min=0), default=1)
 def transfer(k, **params):
     """Transfer bijection check: every chart count equals the chart-0
     count, with the map image matching the direct enumeration."""
@@ -196,14 +202,15 @@ def mutate(chart1, chart2, vector, **params):
     vec = _parse_vector(vector)
     if len(vec) != lat.dim:
         raise click.UsageError(f"vector needs {lat.dim} coordinates")
-    image = lat.mutate(_parse_chart(chart1), _parse_chart(chart2), vec)
+    image = lat.mutate(_parse_chart(chart1, poset),
+                       _parse_chart(chart2, poset), vec)
     _emit({"command": "mutate", "from": chart1, "to": chart2,
            "vector": list(vec), "image": [int(c) for c in image]})
 
 
 @main.command()
 @_source_options
-@click.option("--kmax", type=int, default=3)
+@click.option("--kmax", type=click.IntRange(min=0), default=3)
 def hilbert(kmax, **params):
     """Graded dimensions against chart lattice-point counts."""
     poset, _ = _load_poset(params)
@@ -244,13 +251,13 @@ def valcheck(samples, mode, **params):
 @main.command()
 @_source_options
 @click.option("--chart", default="")
-@click.option("--kmax", type=int, default=2)
+@click.option("--kmax", type=click.IntRange(min=0), default=2)
 def nobody(chart, kmax, **params):
     """Chart-valuation value sets against dilated polytope points."""
     fam = _require_family(params)
+    chart = _parse_chart(chart, fam.poset)
     u = _shift(fam.poset)
-    spec = degeneration.default_chart_valuation_spec(
-        fam, _parse_chart(chart))
+    spec = degeneration.default_chart_valuation_spec(fam, chart)
     rep = degeneration.no_body_sample(fam, u, spec, kmax)
     _emit({"command": "nobody", "kmax": kmax,
            "rho_certificate": spec.certificate, "report": rep},

@@ -91,7 +91,7 @@ def _xvec(fam, entries):
     vec = [0] * len(fam.axis)
     for (i, j), c in entries:
         if (i, j) in fam.positions:
-            vec[fam.axis.index(fam.positions[(i, j)])] += c
+            vec[fam.axis_index(i, j)] += c
     return vec
 
 
@@ -191,9 +191,9 @@ def gamma_matrix(fam, eps, divisors=None):
         if len(unmarked_lower) > 1:
             raise Unsupported(f"non-linear divisor functional at {p}")
         row = [0] * d
-        row[fam.axis.index(p)] = 1
+        row[fam.poset.index(p)] = 1
         if unmarked_lower:
-            row[fam.axis.index(unmarked_lower[0])] = -1
+            row[fam.poset.index(unmarked_lower[0])] = -1
         rrow = [0] * L
         rrow[divisors.index(Divisor("element", p))] = 1
         rows.append(row + rrow)
@@ -201,13 +201,13 @@ def gamma_matrix(fam, eps, divisors=None):
         if dv.kind != "marked":
             continue
         row = [0] * d
-        row[fam.axis.index(dv.pprime)] = -1
+        row[fam.poset.index(dv.pprime)] = -1
         rrow = [0] * L
         rrow[k] = 1
         rows.append(row + rrow)
     for (i, j) in sorted(fam.units):
         row = [0] * d
-        row[fam.axis.index(fam.positions[(i, j)])] = 1
+        row[fam.axis_index(i, j)] = 1
         rows.append(row + [0] * L)
     return rows
 

@@ -70,6 +70,8 @@ class GTFamily:
         elements = list(self.positions.values()) + list(marking)
         self.poset = MarkedPoset(elements, covers, marking)
         self.axis = self.poset.axis
+        self._axis_index = {ij: self.poset.index(name)
+                            for ij, name in self.positions.items()}
         rows = {}
         for (i, j) in self.positions:
             rows.setdefault(i, []).append(j)
@@ -105,7 +107,7 @@ class GTFamily:
     # -- vectors over the unmarked axis ------------------------------------
 
     def axis_index(self, i, j):
-        return self.axis.index(self.positions[(i, j)])
+        return self._axis_index[(i, j)]
 
     def unit_vector(self, i, j):
         v = [0] * len(self.axis)
@@ -121,9 +123,8 @@ class GTFamily:
 
     def coord(self, x, i, j):
         """x_{i,j} from an axis vector, with missing positions read as 0."""
-        if (i, j) in self.positions:
-            return x[self.axis_index(i, j)]
-        return 0
+        k = self._axis_index.get((i, j))
+        return 0 if k is None else x[k]
 
     def lam_bounds(self):
         values = list(self.lam)

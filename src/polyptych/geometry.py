@@ -5,31 +5,18 @@ Fraction``) or plain ints; no floating point.  The double description
 conversion is a textbook incremental algorithm with the combinatorial
 adjacency test, adequate for the dimensions handled here (capped, default 9).
 
-Lattice-point enumeration dispatches to a compiled kernel (``_enum``) when
-available and when all intermediate values provably fit in int64; otherwise
-the pure-Python twin ``_enum_py`` is used.  Set ``POLYPTYCH_PURE_PYTHON=1``
-to force the pure kernel.
+Lattice-point enumeration runs in the kernel of ``_enum_py``.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd
 
 from . import _enum_py
 
-try:  # pragma: no cover - depends on build environment
-    from . import _enum
-except ImportError:  # pragma: no cover
-    _enum = None
-
-HAVE_COMPILED_KERNEL = _enum is not None
-
 DEFAULT_DIM_CAP = 9
 DEFAULT_ENUM_BUDGET = 50_000_000
-
-_INT64_SAFE = 2**61
 
 
 class GeometryError(Exception):
@@ -57,10 +44,6 @@ class NotSquare(GeometryError):
 
 def dot(a, x):
     return sum(ai * xi for ai, xi in zip(a, x))
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def vsub(a, b):
@@ -182,30 +165,12 @@ def lattice_points(poly, box, budget=DEFAULT_ENUM_BUDGET):
     for a, b in poly.rows:
         den = b.denominator
         rows_a.append(tuple(x * den for x in a))
-        rows_b.append(b.numerator if den == 1 else int(b * den))
+        rows_b.append(b.numerator)
     box = [(int(lo), int(hi)) for lo, hi in box]
-    kernel = _pick_kernel(rows_a, rows_b, box)
     try:
-        pts = kernel.enumerate_lattice_points(rows_a, rows_b, box, budget)
-    except (_enum_py.BudgetExceeded if _enum is None else
-            (_enum_py.BudgetExceeded, _enum.BudgetExceeded)) as exc:
+        return _enum_py.enumerate_lattice_points(rows_a, rows_b, box, budget)
+    except _enum_py.BudgetExceeded as exc:
         raise BoxTooLarge(str(exc)) from exc
-    return [tuple(int(c) for c in p) for p in pts]
-
-
-def _pick_kernel(rows_a, rows_b, box):
-    if _enum is None or os.environ.get("POLYPTYCH_PURE_PYTHON"):
-        return _enum_py
-    # conservative overflow pre-check: every partial sum is bounded by
-    # sum |a_i| * max(|lo_i|, |hi_i|) plus |b|
-    for a, b in zip(rows_a, rows_b):
-        bound = abs(b) + sum(
-            abs(ai) * max(abs(lo), abs(hi)) for ai, (lo, hi) in zip(a, box))
-        if bound >= _INT64_SAFE:
-            return _enum_py
-    return _enum_py if any(
-        abs(lo) >= _INT64_SAFE or abs(hi) >= _INT64_SAFE for lo, hi in box
-    ) else _enum
 
 
 # ---------------------------------------------------------------------------

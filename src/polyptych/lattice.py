@@ -81,11 +81,11 @@ class PolyptychLattice:
 
     def from_chart(self, chart, vec):
         return self.element(
-            mco.mu_inverse(self.poset, frozenset(chart), vec, self.graded))
+            mco.mu_inverse(self.poset, frozenset(chart), vec))
 
     def mutate(self, chart1, chart2, vec):
         """mu_{C1,C2}: the chart-C1 coordinate change to chart C2."""
-        base = mco.mu_inverse(self.poset, frozenset(chart1), vec, self.graded)
+        base = mco.mu_inverse(self.poset, frozenset(chart1), vec)
         return mco.mu(self.poset, frozenset(chart2), base)
 
     def add_in_chart(self, m1, m2, chart):
@@ -121,9 +121,8 @@ class StructuralPoint:
     def __call__(self, m):
         poset = m.lattice.poset
         if self.kind == "INNER":
-            i = poset.axis.index(self.p)
-            return m.chart(frozenset({self.p}))[i]
-        return -m.coord0[poset.axis.index(self.pprime)]
+            return m.chart(frozenset({self.p}))[poset.index(self.p)]
+        return -m.coord0[poset.index(self.pprime)]
 
 
 def structural_points(poset):
@@ -226,7 +225,7 @@ def verify_pl_description(lattice, u, sample_vectors=()):
     poset = lattice.poset
     report = {"charts": {}, "ok": True}
     pl0 = pl_hat_delta_hrep0(poset, u)
-    direct0 = mco.hat_delta(poset, u, frozenset(), lattice.graded).hrep
+    direct0 = mco.hat_delta(poset, u, frozenset()).hrep
     ok0 = geometry.polyhedron_equal(pl0, direct0)
     report["charts"][""] = {"mode": "exact", "match": ok0}
     report["ok"] = ok0
@@ -235,14 +234,13 @@ def verify_pl_description(lattice, u, sample_vectors=()):
     def member(m):
         return all(hs.phi(m) >= hs.bound for hs in halfspaces)
 
-    base_points = mco.lattice_points_of_hat_delta(
-        poset, u, frozenset(), 1, lattice.graded)
+    base_points = mco.lattice_points_of_hat_delta(poset, u, frozenset(), 1)
     probes = [lattice.element(z) for z in base_points]
     probes.extend(lattice.element(v) for v in sample_vectors)
     for chart in lattice.charts():
         if not chart:
             continue
-        hrep = mco.hat_delta(poset, u, chart, lattice.graded).hrep
+        hrep = mco.hat_delta(poset, u, chart).hrep
         ok = all(member(m) == hrep.contains(m.chart(chart)) for m in probes)
         report["charts"][mco.chart_str(chart)] = {
             "mode": "pointwise", "probes": len(probes), "match": ok}
@@ -451,7 +449,7 @@ def _linear_extension(rows, dim):
 def chart_coord(fam, x, i, j):
     """The (i,j)-coordinate of the chart {q_{i,j}} image of x."""
     name = fam.positions[(i, j)]
-    return mco.mu(fam.poset, frozenset({name}), x)[fam.axis.index(name)]
+    return mco.mu(fam.poset, frozenset({name}), x)[fam.axis_index(i, j)]
 
 
 def eval_v(fam, x, dual):

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import geometry
-from .posets import graded_structure
+from . import geometry, posets
+from .posets import PosetError
 
 
 def charts_of(poset):
@@ -38,7 +38,7 @@ class MCOPolytope:
     hrep: geometry.HPolyhedron
 
 
-def build_mco(poset, chart, graded=None):
+def build_mco(poset, chart):
     """H-description of the chart's marked chain-order polytope.
 
     One inequality per saturated chain a < p_1 < ... < p_l < b running
@@ -87,65 +87,90 @@ def _chain_row(poset, index, dim, a, chain, b):
 
 # ---------------------------------------------------------------------------
 # transfer maps
+#
+# All four maps change only the chart coordinates, p in C:
+#   forward  x'_p = x_p + min(-x_q over unmarked lower covers q, m),
+#   inverse  x_p = x'_p - min(-x_q over unmarked lower covers q, m),
+# where the inverse reads the already inverted x_q, so it runs in rank order.
+# A marked lower cover contributes m = min(-lam_q) to the transfer map and
+# m = 0 to its linearization mu.  Each chart is compiled once per poset into
+# a transfer plan and a mu plan, memoized on the poset; the plans of a chart
+# are the full chart's plans restricted to it, so all charts share entries.
 
-def _min_candidates(poset, p, values, marked_value):
-    cands = []
-    for q in poset.lower_covers(p):
-        if poset.is_marked(q):
-            cands.append(marked_value(q))
-        else:
-            cands.append(-values[q])
-    return min(cands)
+def _plans(poset, chart):
+    """(transfer plan, mu plan) of a frozenset chart: rank-ordered tuples of
+    (axis index, unmarked lower-cover indices, marked-cover value or None)
+    over the chart elements."""
+    plans = poset._chart_plans.get(chart)
+    if plans is None:
+        plans = poset._chart_plans[chart] = _compile(poset, chart)
+    return plans
+
+
+def _compile(poset, chart):
+    axis = poset.axis
+    full = frozenset(axis)
+    if chart != full:
+        return tuple(tuple(e for e in plan if axis[e[0]] in chart)
+                     for plan in _plans(poset, full))
+    order = posets._topological(poset)
+    if order is None:
+        raise PosetError("cover relation contains a cycle")
+    height = {}
+    for e in order:
+        height[e] = max((height[q] + 1 for q in poset.lower_covers(e)),
+                        default=0)
+    entries = []
+    for i, p in enumerate(axis):
+        lower = poset.lower_covers(p)
+        entries.append((height[p], i, tuple(
+            poset.index(q) for q in lower if not poset.is_marked(q)),
+            [-poset.marking[q] for q in lower if poset.is_marked(q)]))
+    entries.sort()
+    return (tuple((i, lower, min(marked, default=None))
+                  for _, i, lower, marked in entries),
+            tuple((i, lower, 0 if marked else None)
+                  for _, i, lower, marked in entries))
+
+
+def _forward(plan, x):
+    out = list(x)
+    for i, lower, m in plan:
+        for j in lower:
+            v = -x[j]
+            if m is None or v < m:
+                m = v
+        out[i] = x[i] + m
+    return tuple(out)
+
+
+def _inverse(plan, xp):
+    out = list(xp)
+    for i, lower, m in plan:
+        for j in lower:
+            v = -out[j]
+            if m is None or v < m:
+                m = v
+        out[i] -= m
+    return tuple(out)
 
 
 def transfer(poset, chart, x):
     """phi: x'_p = x_p + min(-x_q / -lam_q over lower covers) for p in chart."""
-    axis = poset.axis
-    values = dict(zip(axis, x))
-    out = list(x)
-    for i, p in enumerate(axis):
-        if p in chart:
-            out[i] = x[i] + _min_candidates(
-                poset, p, values, lambda q: -poset.marking[q])
-    return tuple(out)
+    return _forward(_plans(poset, chart)[0], x)
 
 
-def transfer_inverse(poset, chart, xp, graded=None):
-    graded = graded or graded_structure(poset)
-    axis = poset.axis
-    order = sorted(axis, key=lambda p: graded.rank[p])
-    values = {}
-    out = dict(zip(axis, xp))
-    for p in order:
-        if p in chart:
-            out[p] = out[p] - _min_candidates(
-                poset, p, values, lambda q: -poset.marking[q])
-        values[p] = out[p]
-    return tuple(out[p] for p in axis)
+def transfer_inverse(poset, chart, xp):
+    return _inverse(_plans(poset, chart)[0], xp)
 
 
 def mu(poset, chart, x):
     """Linearized transfer: marked lower covers contribute 0 instead of -lam."""
-    axis = poset.axis
-    values = dict(zip(axis, x))
-    out = list(x)
-    for i, p in enumerate(axis):
-        if p in chart:
-            out[i] = x[i] + _min_candidates(poset, p, values, lambda q: 0)
-    return tuple(out)
+    return _forward(_plans(poset, chart)[1], x)
 
 
-def mu_inverse(poset, chart, xp, graded=None):
-    graded = graded or graded_structure(poset)
-    axis = poset.axis
-    order = sorted(axis, key=lambda p: graded.rank[p])
-    values = {}
-    out = dict(zip(poset.axis, xp))
-    for p in order:
-        if p in chart:
-            out[p] = out[p] - _min_candidates(poset, p, values, lambda q: 0)
-        values[p] = out[p]
-    return tuple(out[p] for p in axis)
+def mu_inverse(poset, chart, xp):
+    return _inverse(_plans(poset, chart)[1], xp)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +183,12 @@ class HatDelta:
     shift: tuple                # phi_{C,O}(u)
 
 
-def hat_delta(poset, u, chart, graded=None):
+def hat_delta(poset, u, chart):
     """The chart polytope translated by -phi_{C,O}(u)."""
     chart = frozenset(chart)
     uvec = u.vector(poset)
     shift = transfer(poset, chart, uvec)
-    mcop = build_mco(poset, chart, graded)
+    mcop = build_mco(poset, chart)
     hrep = mcop.hrep.translate(tuple(-t for t in shift))
     return HatDelta(chart, hrep, shift)
 
@@ -184,23 +209,22 @@ def hat_delta_box(poset, u, chart, k=1):
     return box
 
 
-def lattice_points_of_hat_delta(poset, u, chart, k=1, graded=None,
+def lattice_points_of_hat_delta(poset, u, chart, k=1,
                                 budget=geometry.DEFAULT_ENUM_BUDGET):
-    hd = hat_delta(poset, u, chart, graded)
+    hd = hat_delta(poset, u, chart)
     poly = hd.hrep.dilate(k)
     box = hat_delta_box(poset, u, chart, k)
     return geometry.lattice_points(poly, box, budget=budget)
 
 
-def verify_transfer_bijection(poset, u, k=1, graded=None,
+def verify_transfer_bijection(poset, u, k=1,
                               budget=geometry.DEFAULT_ENUM_BUDGET):
     """Per chart: |k hat-polytope ∩ Z^d| by enumeration vs as the mu-image
     of the chart-0 points; returns a report dict."""
-    graded = graded or graded_structure(poset)
-    base = lattice_points_of_hat_delta(poset, u, frozenset(), k, graded, budget)
+    base = lattice_points_of_hat_delta(poset, u, frozenset(), k, budget)
     report = {"k": k, "charts": {}, "ok": True}
     for chart in charts_of(poset):
-        direct = lattice_points_of_hat_delta(poset, u, chart, k, graded, budget)
+        direct = lattice_points_of_hat_delta(poset, u, chart, k, budget)
         image = sorted(mu(poset, chart, z) for z in base)
         ok = image == direct
         report["charts"][chart_str(chart)] = {

@@ -41,7 +41,8 @@ def _encode_int(v):
 class MarkedPoset:
     """Immutable triple (elements, covers, marking); covers (q, p) mean q < p."""
 
-    __slots__ = ("elements", "covers", "marking", "axis", "_lower", "_upper")
+    __slots__ = ("elements", "covers", "marking", "axis", "_index", "_lower",
+                 "_upper", "_chart_plans")
 
     def __init__(self, elements, covers, marking):
         self.elements = tuple(sorted(elements))
@@ -56,11 +57,13 @@ class MarkedPoset:
             if a not in elements:
                 raise PosetError(f"marked element {a} not in poset")
         self.axis = tuple(e for e in self.elements if e not in self.marking)
+        self._index = {p: i for i, p in enumerate(self.axis)}
         self._lower = {e: [] for e in self.elements}
         self._upper = {e: [] for e in self.elements}
         for q, p in self.covers:
             self._lower[p].append(q)
             self._upper[q].append(p)
+        self._chart_plans = {}  # compiled chart maps, filled by mco
 
     @property
     def marked(self):
@@ -76,7 +79,7 @@ class MarkedPoset:
         return tuple(self._upper[q])
 
     def index(self, p):
-        return self.axis.index(p)
+        return self._index[p]
 
     def to_json(self):
         data = {

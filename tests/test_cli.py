@@ -114,3 +114,29 @@ def test_nobody_small(runner):
                                   "--lambda", "0,2,4", "--chart", "q21",
                                   "--kmax", "1"])
     assert code == 0 and out["report"]["ok"]
+
+
+@pytest.mark.parametrize("args", [
+    ["polytope", "--family", "gtA", "--n", "2", "--chart", "zz"],
+    ["polytope", "--family", "gtA", "--n", "2", "--chart", "q21,qs1"],
+    ["mutate", "--family", "gtA", "--n", "2", "--from-chart", "bogus",
+     "--vector", "1,2,3"],
+    ["mutate", "--family", "gtA", "--n", "2", "--to-chart", "q21,bogus",
+     "--vector", "1,2,3"],
+    ["nobody", "--family", "gtA", "--n", "2", "--chart", "zz"],
+    ["polytope", "--family", "gtA", "--n", "2", "--k", "-1"],
+    ["transfer", "--family", "gtA", "--n", "2", "--k", "-1"],
+    ["hilbert", "--family", "gtA", "--n", "2", "--kmax", "-1"],
+    ["polytope", "--family", "gtA", "--n", "0"],
+])
+def test_out_of_range_argument_is_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output and "Traceback" not in result.output
+
+
+def test_unknown_chart_error_names_the_element(runner):
+    result = runner.invoke(main, ["polytope", "--family", "gtA", "--n", "2",
+                                  "--chart", "q21,zz"])
+    assert result.exit_code == 2
+    assert "zz" in result.output and "q21, q31" in result.output

@@ -1,0 +1,66 @@
+"""The enumeration kernel against a brute-force filter of the box."""
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polyptych import geometry
+
+
+def brute_force(poly, box):
+    ranges = [range(lo, hi + 1) for lo, hi in box]
+    return [x for x in product(*ranges) if poly.contains(x)]
+
+
+@st.composite
+def systems(draw):
+    """A system a.x >= b of 0-6 rows in d <= 4 variables and a box that may
+    be empty; coefficients are often zero and right-hand sides rational."""
+    dim = draw(st.integers(1, 4))
+    box = [tuple(draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2)))
+           for _ in range(dim)]
+    if not draw(st.booleans()):  # mostly nonempty boxes
+        box = [(min(b), max(b)) for b in box]
+    coeff = st.one_of(st.just(0), st.integers(-3, 3))
+    rhs = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+    rows = draw(st.lists(
+        st.tuples(st.lists(coeff, min_size=dim, max_size=dim), rhs),
+        max_size=6))
+    return geometry.HPolyhedron(dim, rows), box
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems())
+@example((geometry.HPolyhedron(2, [((0, 0), Fraction(1))]), [(0, 2), (0, 2)]))
+@example((geometry.HPolyhedron(2, [((0, 0), Fraction(-1, 2))]),
+          [(0, 2), (0, 2)]))
+@example((geometry.HPolyhedron(3, [((0, 0, 1), Fraction(1, 3)),
+                                   ((0, 0, -2), Fraction(-5, 2))]),
+          [(-2, 2), (-1, 1), (-3, 3)]))
+@example((geometry.HPolyhedron(2, [((1, 1), 0)]), [(0, 2), (3, 1)]))
+def test_kernel_matches_brute_force(system):
+    poly, box = system
+    assert geometry.lattice_points(poly, box) == brute_force(poly, box)
+
+
+def test_all_zero_row_with_positive_rhs_is_empty():
+    poly = geometry.HPolyhedron(3, [((1, 0, 0), 0), ((0, 0, 0), Fraction(1, 2))])
+    assert geometry.lattice_points(poly, [(0, 5)] * 3) == []
+
+
+def test_points_are_python_ints():
+    poly = geometry.HPolyhedron(2, [((2, -1), Fraction(-3, 2))])
+    pts = geometry.lattice_points(poly, [(-1, 1), (0, 2)])
+    assert pts and all(type(c) is int for p in pts for c in p)
+
+
+def test_budget_counts_search_nodes():
+    # no rows: the search visits 10 + 100 + 1000 nodes of the 10^3 box
+    poly = geometry.HPolyhedron(3)
+    box = [(0, 9)] * 3
+    assert len(geometry.lattice_points(poly, box, budget=1110)) == 1000
+    with pytest.raises(geometry.BoxTooLarge):
+        geometry.lattice_points(poly, box, budget=1109)
