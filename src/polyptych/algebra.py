@@ -312,14 +312,7 @@ def solve_variety_point(poset, tails, xvals):
     order = sorted(poset.axis, key=lambda p: -graded.rank[p])
     y = {}
     for p in order:
-        t = Fraction(0)
-        tail = tails[p]
-        if tail is not None:
-            if tail[0] == "Y":
-                t = y[tail[1]]
-            else:
-                t = xvals[tail[1]] * y[tail[2]]
-        y[p] = (1 + t) / xvals[p]
+        y[p] = (1 + _tail_value(tails, xvals, y, p)) / xvals[p]
     return y
 
 
@@ -342,39 +335,9 @@ def jacobian_matrix(poset, tails, xvals, yvals):
     return rows
 
 
-def matrix_rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
-
-
 def evaluate_relations(poset, tails, xvals, yvals):
-    vals = []
-    for p in poset.axis:
-        t = Fraction(0)
-        tail = tails[p]
-        if tail is not None:
-            if tail[0] == "Y":
-                t = yvals[tail[1]]
-            else:
-                t = xvals[tail[1]] * yvals[tail[2]]
-        vals.append(xvals[p] * yvals[p] - 1 - t)
-    return vals
+    return [xvals[p] * yvals[p] - 1 - _tail_value(tails, xvals, yvals, p)
+            for p in poset.axis]
 
 
 def jacobian_rank_at_samples(poset, rng, count=50, extra_points=()):
@@ -388,13 +351,13 @@ def jacobian_rank_at_samples(poset, rng, count=50, extra_points=()):
         yvals = solve_variety_point(poset, tails, xvals)
         if any(v != 0 for v in evaluate_relations(poset, tails, xvals, yvals)):
             raise RankFail("sample point not on the variety")
-        if matrix_rank(jacobian_matrix(poset, tails, xvals, yvals)) != n:
+        if geometry.rank(jacobian_matrix(poset, tails, xvals, yvals)) != n:
             raise RankFail(f"rank drop at {xvals}")
         report["points"] += 1
     for xvals, yvals in extra_points:
         if any(v != 0 for v in evaluate_relations(poset, tails, xvals, yvals)):
             raise RankFail("supplied point not on the variety")
-        if matrix_rank(jacobian_matrix(poset, tails, xvals, yvals)) != n:
+        if geometry.rank(jacobian_matrix(poset, tails, xvals, yvals)) != n:
             raise RankFail("rank drop at supplied degenerate point")
         report["points"] += 1
     return report

@@ -75,8 +75,11 @@ def _load_poset(ctx_params):
     if path:
         try:
             with open(path) as fh:
-                return MarkedPoset.from_json(json.load(fh)), None
-        except (OSError, ValueError, KeyError, PosetError) as exc:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("expected a JSON object")
+            return MarkedPoset.from_json(data), None
+        except (OSError, ValueError, TypeError, KeyError, PosetError) as exc:
             raise click.UsageError(f"cannot load poset {path}: {exc}")
     if family:
         fam = _load_family(family, ctx_params.get("n"),
@@ -95,9 +98,12 @@ def _require_family(ctx_params):
 
 def _shift(poset):
     try:
-        return choose_u(poset)
-    except NoInteriorU:
-        return choose_u(poset, strict=False)
+        try:
+            return choose_u(poset)
+        except NoInteriorU:
+            return choose_u(poset, strict=False)
+    except PosetError as exc:
+        raise click.UsageError(f"unsupported poset: {exc}")
 
 
 def _emit(report, ok=True):
@@ -198,7 +204,10 @@ def transfer(k, **params):
 def mutate(chart1, chart2, vector, **params):
     """Apply the chart-to-chart mutation to an integer vector."""
     poset, _ = _load_poset(params)
-    lat = lattice.PolyptychLattice(poset)
+    try:
+        lat = lattice.PolyptychLattice(poset)
+    except PosetError as exc:
+        raise click.UsageError(f"unsupported poset: {exc}")
     vec = _parse_vector(vector)
     if len(vec) != lat.dim:
         raise click.UsageError(f"vector needs {lat.dim} coordinates")

@@ -9,11 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import algebra, geometry, lattice
+from .geometry import UnimodularityFail
 from .posets import classify_spade
-
-
-class UnimodularityFail(Exception):
-    pass
 
 
 class PatternFail(Exception):
@@ -219,12 +216,12 @@ def semigroup_generators(fam, eps):
     divisors = divisors_of(fam.poset)
     gens = generator_vectors(fam, eps, divisors)
     matrix = gamma_matrix(fam, eps, divisors)
-    if not geometry.is_unimodular(matrix):
+    determinant = geometry.det(matrix)
+    if abs(determinant) != 1:
         raise UnimodularityFail(
-            f"gamma transformation has determinant {geometry.det(matrix)}")
+            f"gamma transformation has determinant {determinant}")
     lat = lattice.PolyptychLattice(fam.poset)
     functionals = [dv.functional() for dv in divisors]
-    signs = lattice.chart_sign_vector(fam, frozenset())
     def in_cone(x):
         return all(e * (fam.coord(x, i, j) - fam.coord(x, i, j + 1)) >= 0
                    for (i, j), e in eps.items())
@@ -249,7 +246,7 @@ def semigroup_generators(fam, eps):
         "divisor_layout": [dv.label() for dv in divisors],
         "generators": [{"label": lab, "x": list(x), "r": list(r)}
                        for lab, x, r in gens],
-        "determinant": int(geometry.det(matrix)),
+        "determinant": determinant,
         "membership": membership,
         "unit_vector_bijection": bijective,
         "ok": True,

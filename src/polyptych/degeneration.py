@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import algebra, geometry, lattice, mco, semialgebra
+from .geometry import UnimodularityFail
 from .posets import classify_spade
 
 
@@ -18,10 +19,6 @@ class GenerationGap(Exception):
 
 
 class OrdFail(Exception):
-    pass
-
-
-class UnimodularityFail(Exception):
     pass
 
 
@@ -168,11 +165,12 @@ def default_chart_valuation_spec(fam, chart):
     for combo in combinations(range(len(duals)), dim):
         vecs = [_dual_y_vector(fam, duals[i]) for i in combo]
         matrix = [[vecs[r][c] for c in range(dim)] for r in range(dim)]
-        if geometry.is_unimodular(matrix):
+        determinant = geometry.det(matrix)
+        if abs(determinant) == 1:
             chosen = [duals[i] for i in combo]
             if not all(lattice.dual_in_cone(fam, d, signs) for d in chosen):
                 continue
-            cert = {"determinant": int(geometry.det(matrix)),
+            cert = {"determinant": determinant,
                     "generator_indices": list(combo),
                     "in_cone": True}
             return ChartValuationSpec(chart, tuple(chosen), cert)
@@ -196,23 +194,12 @@ def chart_valuation(fam, spec, f, k, lat=None, classification=None):
     return (min(rho_value(fam, spec, m) for m in nu.gens), k)
 
 
-def rho_covectors(fam, spec):
-    """Linear forms of the rho members on the chart's coordinates."""
-    lat = lattice.PolyptychLattice(fam.poset)
-    dim = len(fam.axis)
-    basis = [lat.from_chart(spec.chart,
-                            tuple(1 if l == e else 0 for l in range(dim)))
-             for e in range(dim)]
-    return [tuple(lattice.eval_w(fam, d, m.coord0) for m in basis)
-            for d in spec.rho]
-
-
 def no_body_sample(fam, u, spec, kmax, classification=None):
     """Degree-normalized value sets against the chart polytope's lattice
     points under the rho identification, per degree k <= kmax."""
     classification = classification or classify_spade(fam.poset)
     lat = lattice.PolyptychLattice(fam.poset)
-    covs = rho_covectors(fam, spec)
+    covs = semialgebra.chart_covectors(fam, spec.chart, spec.rho)
     report = {"chart": mco.chart_str(spec.chart), "levels": [], "ok": True}
     for k in range(kmax + 1):
         piece = gamma(fam.poset, u, k, classification)

@@ -4,6 +4,8 @@ Everything is computed over arbitrary-precision rationals (``fractions.
 Fraction``) or plain ints; no floating point.  The double description
 conversion is a textbook incremental algorithm with the combinatorial
 adjacency test, adequate for the dimensions handled here (capped, default 9).
+Determinants, ranks and the dual linear extension all run through one
+fraction-free row echelon, ``row_echelon``.
 
 Lattice-point enumeration runs in the kernel of ``_enum_py``.
 """
@@ -31,12 +33,12 @@ class DimCapExceeded(GeometryError):
     pass
 
 
-class SingularBasis(GeometryError):
-    pass
-
-
 class NotSquare(GeometryError):
     pass
+
+
+class UnimodularityFail(GeometryError):
+    """A unimodularity certificate fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -331,69 +333,53 @@ def minkowski_sum_hull(points, cone_covectors, dim, dim_cap=DEFAULT_DIM_CAP):
 # ---------------------------------------------------------------------------
 # exact linear algebra
 
-def solve_matrix(columns, target):
-    """Exact coefficients c with sum c_i * columns[i] = target."""
-    n = len(target)
-    m = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(m)] + [Fraction(target[i])]
-           for i in range(n)]
-    piv_cols, row = [], 0
-    for col in range(m):
-        p = next((r for r in range(row, n) if aug[r][col] != 0), None)
+def row_echelon(rows):
+    """Fraction-free (Bareiss) forward elimination of integer rows.
+
+    Returns ``(echelon, pivots, sign)``: the rows in echelon form, the pivot
+    column of each leading row, and the sign of the row swaps.  Every entry
+    below the k-th pivot row is a (k+1)-minor of the input, so each division
+    is exact and the last pivot of a nonsingular square matrix is its
+    determinant up to ``sign``.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    sign, prev = 1, 1
+    width = len(rows[0]) if rows else 0
+    for col in range(width):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if p is None:
             continue
-        aug[row], aug[p] = aug[p], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        piv_cols.append(col)
-        row += 1
-        if row == n:
-            break
-    # consistency
-    for r in range(row, n):
-        if aug[r][m] != 0:
-            raise SingularBasis("target outside the span of the given vectors")
-    coeffs = [Fraction(0)] * m
-    for r, col in enumerate(piv_cols):
-        coeffs[col] = aug[r][m]
-    return coeffs
-
-
-def expand_in_basis(x, basis):
-    """Exact coefficients of ``x`` over ``basis`` (raises if not a basis)."""
-    n = len(x)
-    if len(basis) != n:
-        raise SingularBasis(f"need {n} basis vectors, got {len(basis)}")
-    if det([[Fraction(b[i]) for b in basis] for i in range(n)]) == 0:
-        raise SingularBasis("vectors do not form a basis")
-    return solve_matrix(basis, x)
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        piv = top[col]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(piv * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = piv
+        pivots.append(col)
+    return rows, pivots, sign
 
 
 def det(matrix):
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
+    """Exact determinant of an integer square matrix."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NotSquare("matrix is not square")
-    m = [[Fraction(x) for x in row] for row in matrix]
-    result = Fraction(1)
-    for col in range(n):
-        p = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != col:
-            m[col], m[p] = m[p], m[col]
-            result = -result
-        pv = m[col][col]
-        result *= pv
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return result
+    echelon, pivots, sign = row_echelon(matrix)
+    if len(pivots) < n:
+        return 0
+    return sign * echelon[-1][-1] if n else 1
+
+
+def rank(rows):
+    """Exact rank of a matrix with rational entries."""
+    return len(row_echelon([primitive(r) for r in rows])[1])
 
 
 def is_unimodular(matrix):

@@ -412,38 +412,25 @@ def _dual_free_positions(fam):
                   if (ij[0] - 1, ij[1]) not in fam.pihat)
 
 
-def _linear_extension(rows, dim):
-    """Exact evaluator of the linear functional determined by the given
-    (vector, value) pairs; raises DualFail on inconsistency or when asked
-    to evaluate outside the span."""
-    reduced = []  # (pivot index, vector list, value)
-
-    def reduce(vec, val):
-        vec = list(vec)
-        val = Fraction(val)
-        for piv, rvec, rval in reduced:
-            if vec[piv] != 0:
-                f = Fraction(vec[piv], rvec[piv])
-                vec = [a - f * b for a, b in zip(vec, rvec)]
-                val -= f * rval
-        return vec, val
-
-    for vec, val in rows:
-        vec, val = reduce(vec, val)
-        piv = next((k for k, a in enumerate(vec) if a != 0), None)
-        if piv is None:
-            if val != 0:
-                raise DualFail("inconsistent generator values")
-            continue
-        reduced.append((piv, vec, val))
-
-    def evaluate(target):
-        vec, val = reduce(target, 0)
-        if any(a != 0 for a in vec):
-            raise DualFail("evaluation outside the generator span")
-        return -val
-
-    return evaluate
+def _linear_extension(rows, target):
+    """Value at ``target`` of the linear functional fixed by the given
+    (vector, value) pairs; raises DualFail on inconsistent values or when
+    ``target`` lies outside the span of the vectors."""
+    echelon, pivots, _ = geometry.row_echelon(
+        [[*vec, val] for vec, val in rows])
+    n = len(target)
+    if pivots and pivots[-1] == n:
+        raise DualFail("inconsistent generator values")
+    t, scale = [*target, 0], 1
+    for row, col in zip(echelon, pivots):
+        f = t[col]
+        if f:
+            piv = row[col]
+            t = [piv * a - f * b for a, b in zip(t, row)]
+            scale *= piv
+    if any(t[:n]):
+        raise DualFail("evaluation outside the generator span")
+    return Fraction(-t[n], scale)
 
 
 def chart_coord(fam, x, i, j):
@@ -470,8 +457,7 @@ def eval_v(fam, x, dual):
                      chart_coord(fam, x, i, j)))
         rows.append((dual_eps_prime(fam, i, j).chart_vector(frozenset()),
                      -fam.coord(x, i, j)))
-    evaluate = _linear_extension(rows, len(fam.axis))
-    return evaluate(dual.chart_vector(frozenset()))
+    return _linear_extension(rows, dual.chart_vector(frozenset()))
 
 
 def chart_sign_vector(fam, chart):

@@ -66,22 +66,23 @@ def star(a, b):
 # ---------------------------------------------------------------------------
 # equality via per-chart hulls
 
+def chart_covectors(fam, chart, duals):
+    """Covectors, in chart coordinates, of the points induced by ``duals``:
+    each dual paired with the lattice elements of the chart's unit basis."""
+    lat = lattice.PolyptychLattice(fam.poset)
+    dim = len(fam.axis)
+    basis = [lat.from_chart(chart, tuple(1 if l == k else 0
+                                         for l in range(dim)))
+             for k in range(dim)]
+    return [tuple(lattice.eval_w(fam, n, m.coord0) for m in basis)
+            for n in duals]
+
+
 def chart_cone_covectors(fam, chart):
     """Covectors (in chart coordinates) of the generating points of the dual
     cone matched to the chart; their min over a generating set computes the
     point-convex hull restricted to this chart."""
-    duals = lattice.chart_cone_duals(fam, chart)
-    lat = lattice.PolyptychLattice(fam.poset)
-    dim = len(fam.axis)
-    basis = []
-    for k in range(dim):
-        e = tuple(1 if l == k else 0 for l in range(dim))
-        basis.append(lat.from_chart(chart, e))
-    covectors = []
-    for n in duals:
-        covectors.append(tuple(lattice.eval_w(fam, n, m.coord0)
-                               for m in basis))
-    return covectors
+    return chart_covectors(fam, chart, lattice.chart_cone_duals(fam, chart))
 
 
 def _chart_hull(fam, chart, elem, covectors):
@@ -113,7 +114,6 @@ def equal_sampled(a, b, functionals):
 
 
 def sample_functionals(fam, rng, count=60, radius=4):
-    lat = lattice.PolyptychLattice(fam.poset)
     out = [phi for phi in lattice.structural_points(fam.poset)]
     for _ in range(count):
         out.append(lattice.dual_point(fam, lattice.random_dual(

@@ -1,9 +1,17 @@
 """Acceptance gate: the full criteria suite runs once per session and each
 criterion is reported as its own pass/fail line."""
 
+import hashlib
+import json
+
 import pytest
 
-from polyptych import acceptance
+from polyptych import acceptance, cli
+
+# sha256 of `polyptych acceptance --profile quick --seed 0`; a change that
+# moves it must update it and say why.
+QUICK_FINGERPRINT = (
+    "eb2bc6096af48d02ed4a867118768e8c272e29113dadccaa51539d40fd8b429c")
 
 
 @pytest.fixture(scope="session")
@@ -75,3 +83,10 @@ def test_criterion_14_determinism(suite):
 
 def test_suite_overall(suite):
     assert suite["ok"]
+
+
+def test_quick_fingerprint(suite):
+    payload = {"tool": "polyptych", "version": cli.VERSION}
+    payload.update(suite)
+    stdout = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(stdout.encode()).hexdigest() == QUICK_FINGERPRINT

@@ -140,3 +140,24 @@ def test_unknown_chart_error_names_the_element(runner):
                                   "--chart", "q21,zz"])
     assert result.exit_code == 2
     assert "zz" in result.output and "q21, q31" in result.output
+
+
+NOT_GRADED = {"elements": ["bot", "p1", "p2", "p3", "top"],
+              "covers": [["bot", "p1"], ["p1", "p2"], ["p2", "top"],
+                         ["bot", "p3"], ["p3", "top"]],
+              "marked": {"bot": 0, "top": 4}}
+
+
+@pytest.mark.parametrize("command, content", [
+    (["validate"], [1, 2]),
+    (["transfer"], {"elements": ["a", "b"], "covers": 5}),
+    (["transfer"], NOT_GRADED),
+    (["mutate", "--vector", "1,2,3"], NOT_GRADED),
+])
+def test_unusable_poset_file_is_usage_error(runner, tmp_path, command,
+                                            content):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(content))
+    result = runner.invoke(main, command + ["--poset", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output and "Traceback" not in result.output

@@ -1,6 +1,6 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,17 +27,48 @@ def test_unimodular_detection():
     assert not geometry.is_unimodular([[2, 0], [0, 1]])
 
 
-def test_solve_matrix_and_expand():
-    cols = [(1, 0), (1, 1)]
-    sol = geometry.solve_matrix(cols, (3, 2))
-    assert tuple(sol) == (Fraction(1), Fraction(2))
-    assert tuple(geometry.expand_in_basis((3, 2), cols)) == (
-        Fraction(1), Fraction(2))
+def leibniz(m):
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[a] > perm[b]
+                         for a, b in combinations(range(len(perm)), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
 
 
-def test_singular_solve_raises():
-    with pytest.raises(geometry.GeometryError):
-        geometry.solve_matrix([(1, 2), (2, 4)], (1, 0))
+def largest_nonzero_minor(m):
+    """Rank as the size of the largest square submatrix with a nonzero
+    Leibniz determinant."""
+    for size in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(range(len(m)), size):
+            for cols in combinations(range(len(m[0])), size):
+                if leibniz([[m[i][j] for j in cols] for i in rows]):
+                    return size
+    return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_det_matches_leibniz(m):
+    assert geometry.det(m) == leibniz(m)
+
+
+ENTRIES = st.sampled_from([Fraction(0), Fraction(0), Fraction(1),
+                           Fraction(-1), Fraction(1, 2), Fraction(-3, 2),
+                           Fraction(2, 3)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=1, max_size=4)))
+def test_rank_matches_largest_nonzero_minor(m):
+    assert geometry.rank(m) == largest_nonzero_minor(m)
 
 
 def test_square_lattice_points():

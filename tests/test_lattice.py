@@ -1,4 +1,7 @@
 import itertools
+from fractions import Fraction
+
+import pytest
 
 from polyptych import lattice
 from polyptych.posets import choose_u
@@ -84,3 +87,21 @@ def test_scale_distributes(fam_A2, rng):
     for chart in list(lat.charts())[:4]:
         assert m.scale(3).chart(chart) == tuple(
             3 * c for c in m.chart(chart))
+
+
+def test_linear_extension_value():
+    rows = [((2, 0, 1), 3), ((0, 1, 1), -1), ((2, 1, 2), 2), ((0, 0, 2), 4)]
+    assert lattice._linear_extension(rows, (1, 0, 0)) == Fraction(1, 2)
+    assert lattice._linear_extension(rows, (2, 2, 3)) == 1
+
+
+def test_linear_extension_inconsistent_values():
+    rows = [((1, 0), 1), ((0, 1), 2), ((1, 1), 4)]
+    with pytest.raises(lattice.DualFail, match="inconsistent"):
+        lattice._linear_extension(rows, (1, 0))
+
+
+def test_linear_extension_target_outside_span():
+    rows = [((1, 1, 0), 1), ((2, 2, 0), 2)]
+    with pytest.raises(lattice.DualFail, match="outside"):
+        lattice._linear_extension(rows, (1, 0, 0))
