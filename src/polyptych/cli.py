@@ -1,7 +1,11 @@
 """Command-line front end: deterministic, JSON-emitting verification
 commands over marked posets and the triangular families.
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error,
+3 a resource limit was exceeded.  Exit 3 prints
+``{"tool", "version", "command", "error": {"limit", "message"}}``, where
+``limit`` is ``"dim_cap"`` (the double-description dimension cap) or
+``"enum_budget"`` (the lattice-point enumeration budget).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import click
 
 from . import (acceptance as acceptance_mod, algebra, cox as cox_mod,
                degeneration, families, lattice, mco, semialgebra)
+from .geometry import BoxTooLarge, DimCapExceeded
 from .posets import (MarkedPoset, NoInteriorU, PosetError, SpadeViolation,
                      choose_u, classify_spade, validate as validate_poset)
 
@@ -106,11 +111,26 @@ def _shift(poset):
         raise click.UsageError(f"unsupported poset: {exc}")
 
 
-def _emit(report, ok=True):
+def _emit(report, ok=True, code=None):
     payload = {"tool": "polyptych", "version": VERSION}
     payload.update(report)
     click.echo(json.dumps(payload, sort_keys=True, indent=2))
-    sys.exit(0 if ok else 1)
+    sys.exit((0 if ok else 1) if code is None else code)
+
+
+LIMITS = {DimCapExceeded: "dim_cap", BoxTooLarge: "enum_budget"}
+
+
+class _Main(click.Group):
+    """Reports an exceeded resource limit as exit 3, not as a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(LIMITS) as exc:
+            _emit({"command": ctx.invoked_subcommand,
+                   "error": {"limit": LIMITS[type(exc)],
+                             "message": str(exc)}}, code=3)
 
 
 def _source_options(fn):
@@ -125,7 +145,7 @@ def _source_options(fn):
     return fn
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Exact verification tools for marked chain-order polytopes and
     polyptych lattices."""
@@ -161,6 +181,8 @@ def classify(**params):
     except SpadeViolation as exc:
         _emit({"command": "classify", "ok": False, "error": str(exc)},
               ok=False)
+    except PosetError as exc:
+        raise click.UsageError(f"unsupported poset: {exc}")
     comps = [{"level": c.level, "shape": c.shape,
               "lower": list(c.lower), "upper": list(c.upper)}
              for c in cls.components]
@@ -282,7 +304,10 @@ def cox(what, **params):
     """Cox-ring counts, semigroup generators, or the presentation."""
     poset, fam = _load_poset(params)
     if what == "counts":
-        cc = cox_mod.cox_counts(poset)
+        try:
+            cc = cox_mod.cox_counts(poset)
+        except PosetError as exc:
+            raise click.UsageError(f"unsupported poset: {exc}")
         _emit({"command": "cox", "emit": what,
                "U": cc.U, "L": cc.L, "variables": cc.variables,
                "perLevel": {str(k): v

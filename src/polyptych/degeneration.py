@@ -5,9 +5,12 @@ samples, and divisor-order additivity checks.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter, mul, sub
 
 from . import algebra, geometry, lattice, mco, semialgebra
 from .geometry import UnimodularityFail
@@ -77,17 +80,27 @@ def _generation_gap(poset, classification, tails, u, pieces, k):
     product of k degree-1 basis monomials (expected empty)."""
     deg1 = {algebra.monomial_to_m(poset, classification, b): b
             for b in pieces[1].basis}
-    hd = mco.hat_delta(poset, u, frozenset())
+    points = sorted(deg1)
+    bounds = _remainder_bounds(poset, u, k)
     missing = []
     for b in pieces[k].basis:
         z = algebra.monomial_to_m(poset, classification, b)
-        if not _reachable(poset, classification, tails, hd, deg1, b, z, k):
+        if not _reachable(tails, bounds, deg1, points, b, z, k):
             missing.append(b)
     return missing
 
 
-def _reachable(poset, classification, tails, hd, deg1, target, z, k):
-    for parts in _decompositions(hd, sorted(deg1), z, k):
+def _remainder_bounds(poset, u, k):
+    """Per d = 2 .. k-1, integer rows (a, c) with a.x >= c on exactly the
+    integer points of the d-fold dilated chart-0 polytope: a is integer, so
+    a.x >= d*b and a.x >= ceil(d*b) agree on integer x."""
+    rows = mco.hat_delta(poset, u, frozenset()).hrep.rows
+    return {d: [(a, math.ceil(d * b)) for a, b in rows]
+            for d in range(2, k)}
+
+
+def _reachable(tails, bounds, deg1, points, target, z, k):
+    for parts in _decompositions(bounds, deg1, points, z, k):
         prod = {algebra.ONE: Fraction(1)}
         for zi in parts:
             prod = algebra.multiply(
@@ -97,31 +110,38 @@ def _reachable(poset, classification, tails, hd, deg1, target, z, k):
     return False
 
 
-def _decompositions(hd, deg1_points, z, k, limit=40):
-    """Up to ``limit`` ways to write z as a sum of k degree-1 points, found
-    by depth-first search with H-rep pruning of the remainder."""
+_FIRST = itemgetter(slice(1))
+
+
+def _decompositions(bounds, deg1, points, z, k, limit=40):
+    """Up to ``limit`` ways to write z as a sum p_1 <= ... <= p_k (k >= 2,
+    lexicographic order) of degree-1 points, by depth-first search.
+
+    ``points`` is ``sorted(deg1)``.  Lexicographic order is compatible with
+    addition, so the smallest of d parts summing to ``rest`` has
+    d * p[0] <= rest[0]; this bounds the candidates for each part.  A
+    remainder of d >= 2 parts must satisfy the integer rows ``bounds[d]``
+    of the d-fold dilated polytope; the last part is looked up in ``deg1``.
+    """
     out = []
 
-    def rec(rest, depth, acc):
-        if len(out) >= limit:
-            return
-        if depth == 0:
-            if all(r == 0 for r in rest):
-                out.append(tuple(acc))
-            return
-        scaled = hd.hrep.dilate(depth - 1) if depth > 1 else None
-        for p in deg1_points:
-            nxt = tuple(r - c for r, c in zip(rest, p))
-            if depth == 1:
-                if all(v == 0 for v in nxt):
-                    out.append(tuple(acc) + (p,))
+    def rec(rest, start, d, acc):
+        end = bisect_right(points, tuple(r // d for r in rest[:1]), start,
+                           key=_FIRST)
+        for i in range(start, end):
+            p = points[i]
+            nxt = tuple(map(sub, rest, p))
+            if d == 2:
+                if nxt in deg1 and nxt >= p:
+                    out.append(acc + (p, nxt))
                     if len(out) >= limit:
-                        return
-                continue
-            if scaled.contains(nxt):
-                rec(nxt, depth - 1, acc + [p])
+                        return True
+            elif all(sum(map(mul, a, nxt)) >= c for a, c in bounds[d - 1]):
+                if rec(nxt, i, d - 1, acc + (p,)):
+                    return True
+        return False
 
-    rec(tuple(z), k, [])
+    rec(tuple(z), 0, k, ())
     return out
 
 

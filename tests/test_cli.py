@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from polyptych import mco
 from polyptych.cli import main
+from polyptych.geometry import BoxTooLarge
 from polyptych.posets import chain_poset
 
 
@@ -153,6 +155,8 @@ NOT_GRADED = {"elements": ["bot", "p1", "p2", "p3", "top"],
     (["transfer"], {"elements": ["a", "b"], "covers": 5}),
     (["transfer"], NOT_GRADED),
     (["mutate", "--vector", "1,2,3"], NOT_GRADED),
+    (["classify"], NOT_GRADED),
+    (["cox"], NOT_GRADED),
 ])
 def test_unusable_poset_file_is_usage_error(runner, tmp_path, command,
                                             content):
@@ -161,3 +165,24 @@ def test_unusable_poset_file_is_usage_error(runner, tmp_path, command,
     result = runner.invoke(main, command + ["--poset", str(path)])
     assert result.exit_code == 2, result.output
     assert "Error:" in result.output and "Traceback" not in result.output
+
+
+def test_dim_cap_is_exit_3(runner):
+    code, out = run_json(runner, ["valcheck", "--family", "gtA", "--n", "4",
+                                  "--samples", "2"])
+    assert code == 3
+    assert out == {"tool": "polyptych", "version": out["version"],
+                   "command": "valcheck",
+                   "error": {"limit": "dim_cap",
+                             "message": "dimension 10 exceeds cap 9"}}
+
+
+def test_enum_budget_is_exit_3(runner, monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise BoxTooLarge("search exceeded 10 nodes")
+
+    monkeypatch.setattr(mco, "lattice_points_of_hat_delta", over_budget)
+    code, out = run_json(runner, ["polytope", "--family", "gtA", "--n", "2"])
+    assert code == 3 and out["command"] == "polytope"
+    assert out["error"] == {"limit": "enum_budget",
+                            "message": "search exceeded 10 nodes"}

@@ -1,4 +1,9 @@
-from polyptych import degeneration, geometry
+from collections import defaultdict
+from itertools import combinations_with_replacement
+
+import pytest
+
+from polyptych import algebra, degeneration, geometry, mco
 from polyptych.posets import choose_u, gt_type_C
 
 
@@ -68,3 +73,87 @@ def test_small_family_hilbert():
     rep = degeneration.hilbert_vs_ehrhart(p, u, 3)
     assert rep["ok"]
     assert [r["dimension"] for r in rep["rows"]] == [1, 3, 5, 7]
+
+
+@pytest.fixture(scope="module")
+def deg1_A2(fam_A2, cls_A2):
+    """Degree-1 points of A2 keyed to their basis monomials, and u."""
+    u = choose_u(fam_A2.poset)
+    piece = degeneration.gamma(fam_A2.poset, u, 1, cls_A2)
+    deg1 = {algebra.monomial_to_m(fam_A2.poset, cls_A2, b): b
+            for b in piece.basis}
+    return deg1, u
+
+
+def _brute_decompositions(points, k):
+    """Every multiset of k points, keyed by its sum."""
+    by_sum = defaultdict(list)
+    for combo in combinations_with_replacement(points, k):
+        by_sum[tuple(map(sum, zip(*combo)))].append(combo)
+    return by_sum
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_decompositions_match_brute_force(fam_A2, deg1_A2, k):
+    deg1, u = deg1_A2
+    points = sorted(deg1)
+    bounds = degeneration._remainder_bounds(fam_A2.poset, u, k)
+    brute = _brute_decompositions(points, k)
+    limit = 40
+    compared = capped = 0
+    for z in mco.lattice_points_of_hat_delta(fam_A2.poset, u, frozenset(),
+                                             k):
+        found = degeneration._decompositions(bounds, deg1, points, z, k,
+                                             limit)
+        assert isinstance(found, list)
+        assert all(list(parts) == sorted(parts) for parts in found)
+        assert len(set(found)) == len(found)   # no permutation repeats
+        expected = brute[tuple(z)]
+        if len(expected) < limit:
+            assert sorted(found) == sorted(expected)
+            compared += 1
+        else:
+            assert len(found) == limit and set(found) <= set(expected)
+            capped += 1
+    assert compared > 0
+    assert capped > 0 or k == 2
+    z = max(brute, key=lambda s: len(brute[s]))
+    assert len(degeneration._decompositions(bounds, deg1, points, z, k,
+                                            limit=3)) == 3
+    # (k+1)v lies outside k * hat-delta for a vertex v != 0
+    v = points[0]
+    outside = tuple((k + 1) * c for c in v)
+    hd = mco.hat_delta(fam_A2.poset, u, frozenset())
+    assert not hd.hrep.dilate(k).contains(outside)
+    assert degeneration._decompositions(bounds, deg1, points, outside,
+                                        k) == []
+
+
+def test_generation_gap_reports_dropped_vertex(fam_A2, cls_A2, deg1_A2):
+    """Without the monomial of a vertex v in degree 1, the degree-2 monomial
+    of 2v is unreachable: 2v has no other decomposition."""
+    poset = fam_A2.poset
+    deg1, u = deg1_A2
+    points = sorted(deg1)
+    v = points[0]   # lexicographic minimum of a lattice polytope: a vertex
+    two_v = tuple(2 * c for c in v)
+    assert _brute_decompositions(points, 2)[two_v] == [(v, v)]
+    pieces = {1: degeneration.GradedPiece(
+                  1, tuple(b for b in sorted(deg1.values())
+                           if b != deg1[v])),
+              2: degeneration.gamma(poset, u, 2, cls_A2)}
+    tails = algebra.build_relations(poset, cls_A2)
+    gap = degeneration._generation_gap(poset, cls_A2, tails, u, pieces, 2)
+    assert algebra.m_to_monomial(poset, cls_A2, two_v) in gap
+    for b in gap:   # only monomials that need v go missing
+        z = algebra.monomial_to_m(poset, cls_A2, b)
+        assert tuple(c - d for c, d in zip(z, v)) in deg1
+
+
+def test_generation_gap_empty_at_degree_three_a2(fam_A2):
+    u = choose_u(fam_A2.poset)
+    rep = degeneration.hilbert_vs_ehrhart(fam_A2.poset, u, 3,
+                                          generation_kmax=3)
+    assert rep["ok"]
+    assert [g["k"] for g in rep["generation"]] == [2, 3]
+    assert all(not g["gap"] for g in rep["generation"])
