@@ -102,11 +102,15 @@ def _require_family(ctx_params):
 
 
 def _shift(poset):
+    diag = validate_poset(poset)
+    if not diag.ok:
+        raise click.UsageError("invalid poset: " + "; ".join(
+            f"{code} ({message})" for code, message in diag.errors))
     try:
         try:
-            return choose_u(poset)
+            return choose_u(poset, graded=diag.graded)
         except NoInteriorU:
-            return choose_u(poset, strict=False)
+            return choose_u(poset, strict=False, graded=diag.graded)
     except PosetError as exc:
         raise click.UsageError(f"unsupported poset: {exc}")
 
@@ -246,7 +250,12 @@ def hilbert(kmax, **params):
     """Graded dimensions against chart lattice-point counts."""
     poset, _ = _load_poset(params)
     u = _shift(poset)
-    rep = degeneration.hilbert_vs_ehrhart(poset, u, kmax)
+    try:
+        classification = classify_spade(poset)
+    except PosetError as exc:
+        raise click.UsageError(f"unsupported poset: {exc}")
+    rep = degeneration.hilbert_vs_ehrhart(poset, u, kmax,
+                                          classification=classification)
     _emit({"command": "hilbert", "kmax": kmax, "report": rep},
           ok=rep["ok"])
 

@@ -76,6 +76,7 @@ class GTFamily:
         for (i, j) in self.positions:
             rows.setdefault(i, []).append(j)
         self.rows = {i: sorted(js) for i, js in rows.items()}
+        self._dual_cones = None  # K-dual per cone chart, filled by semialgebra
 
     # -- grid helpers -------------------------------------------------------
 

@@ -38,6 +38,9 @@ def _encode_int(v):
     return v if _INT64_MIN <= v <= _INT64_MAX else str(v)
 
 
+JSON_KEYS = ("elements", "covers", "marked")  # the keys to_json writes
+
+
 class MarkedPoset:
     """Immutable triple (elements, covers, marking); covers (q, p) mean q < p."""
 
@@ -91,7 +94,14 @@ class MarkedPoset:
 
     @classmethod
     def from_json(cls, data):
-        marking = {a: int(v) for a, v in data.get("marked", {}).items()}
+        unknown = sorted(set(data) - set(JSON_KEYS))
+        if unknown:
+            raise PosetError(f"unknown key(s) {', '.join(unknown)}; allowed "
+                             f"keys: {', '.join(JSON_KEYS)}")
+        marked = data.get("marked", {})
+        if not isinstance(marked, dict):
+            raise PosetError("marked must map element names to values")
+        marking = {a: int(v) for a, v in marked.items()}
         return cls(data["elements"], [tuple(c) for c in data["covers"]], marking)
 
     def __repr__(self):

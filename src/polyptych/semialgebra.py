@@ -2,14 +2,20 @@
 
 Addition is union of generating sets; multiplication combines generators
 through all charts.  Two generating sets represent the same element exactly
-when their point-convex hulls agree, which is decided per chart: on each
-chart the points linear there form a cone of covectors K, and hull equality
-reduces to equality of conv(generators) + K-dual as honest polyhedra.
+when their point-convex hulls agree, which is decided by exact hull equality
+per dual cone.  On a chart C the points linear there are induced by the duals
+of the cone matched to C; they form a cone of covectors K in C's coordinates,
+and the hulls agree on C when conv(generators) + K-dual agree as honest
+polyhedra.  The matched cone depends only on C ∩ E, where E holds the
+elements q_{i+1,j} above the interior positions (i,j), so one chart C ⊆ E
+per cone suffices, and K-dual is computed once per family and cone.
 """
 
 from __future__ import annotations
 
-from . import geometry, lattice, mco
+from itertools import combinations
+
+from . import geometry, lattice
 
 
 class Infinity:
@@ -85,18 +91,34 @@ def chart_cone_covectors(fam, chart):
     return chart_covectors(fam, chart, lattice.chart_cone_duals(fam, chart))
 
 
-def _chart_hull(fam, chart, elem, covectors):
-    points = [m.chart(chart) for m in elem.gens]
-    return geometry.minkowski_sum_hull(points, covectors, len(fam.axis))
+def cone_charts(fam):
+    """One chart per dual cone: every subset of the elements q_{i+1,j} above
+    the interior positions (i,j), ordered by size then name."""
+    above = sorted(fam.positions[(i + 1, j)] for (i, j) in fam.pihat)
+    return [frozenset(c) for size in range(len(above) + 1)
+            for c in combinations(above, size)]
+
+
+def _dual_cones(fam):
+    """(chart, lineality, rays) of K-dual for each cone chart, computed once
+    per family by double description over the chart's cone covectors."""
+    if fam._dual_cones is None:
+        dim = len(fam.axis)
+        fam._dual_cones = [
+            (chart, *geometry.cone_rays(chart_cone_covectors(fam, chart), dim))
+            for chart in cone_charts(fam)]
+    return fam._dual_cones
 
 
 def equal_exact(fam, a, b):
     if a is INFINITY or b is INFINITY:
         return (a is INFINITY) == (b is INFINITY)
-    for chart in mco.charts_of(fam.poset):
-        covectors = chart_cone_covectors(fam, chart)
-        ha = _chart_hull(fam, chart, a, covectors)
-        hb = _chart_hull(fam, chart, b, covectors)
+    dim = len(fam.axis)
+    for chart, lineality, rays in _dual_cones(fam):
+        ha = geometry.VPolyhedron(dim, [m.chart(chart) for m in a.gens],
+                                  rays, lineality)
+        hb = geometry.VPolyhedron(dim, [m.chart(chart) for m in b.gens],
+                                  rays, lineality)
         if not geometry.polyhedron_equal(ha, hb):
             return False
     return True

@@ -186,3 +186,58 @@ def test_enum_budget_is_exit_3(runner, monkeypatch):
     assert code == 3 and out["command"] == "polytope"
     assert out["error"] == {"limit": "enum_budget",
                             "message": "search exceeded 10 nodes"}
+
+
+def _poset_file(tmp_path, content):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(content))
+    return str(path)
+
+
+def assert_usage_error(result, *needles):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output and "Traceback" not in result.output
+    for needle in needles:
+        assert needle in result.output
+
+
+# graded, but q has three legs: not a spade poset
+FAN = {"elements": ["a", "p1", "p2", "p3", "q", "b"],
+       "covers": [["a", "p1"], ["a", "p2"], ["a", "p3"], ["p1", "q"],
+                  ["p2", "q"], ["p3", "q"], ["q", "b"]],
+       "marked": {"a": 0, "b": 3}}
+
+
+def test_hilbert_non_spade_poset_is_usage_error(runner, tmp_path):
+    result = runner.invoke(main, ["hilbert", "--poset",
+                                  _poset_file(tmp_path, FAN)])
+    assert_usage_error(result, "3 legs")
+
+
+CHAIN = {"elements": ["a", "p", "c"], "covers": [["a", "p"], ["p", "c"]]}
+
+
+@pytest.mark.parametrize("command", ["polytope", "transfer", "hilbert"])
+@pytest.mark.parametrize("marked, code", [
+    ({"c": 2}, "UNMARKED_EXTREME"),
+    ({"a": 5, "c": 2}, "NOT_MONOTONE"),
+])
+def test_invalid_poset_is_usage_error(runner, tmp_path, command, marked,
+                                      code):
+    path = _poset_file(tmp_path, dict(CHAIN, marked=marked))
+    assert_usage_error(runner.invoke(main, [command, "--poset", path]), code)
+    # validate keeps its exit-1 report for the same file
+    status, out = run_json(runner, ["validate", "--poset", path])
+    assert status == 1 and code in {e[0] for e in out["errors"]}
+
+
+@pytest.mark.parametrize("extra, needles", [
+    ({"marking": {"a": 0, "c": 2}}, ("marking", "elements, covers, marked")),
+    ({"marked": [0, 2]}, ("marked must map",)),
+])
+def test_malformed_poset_keys_are_usage_errors(runner, tmp_path, extra,
+                                               needles):
+    path = _poset_file(tmp_path, dict(CHAIN, **extra))
+    result = runner.invoke(main, ["transfer", "--poset", path])
+    assert_usage_error(result, *needles)

@@ -1,5 +1,8 @@
-from polyptych import lattice, semialgebra
-from polyptych.posets import gt_type_C
+import random
+
+import pytest
+
+from polyptych import families, geometry, lattice, mco, semialgebra
 
 
 def small_fam_lat(fam):
@@ -62,8 +65,6 @@ def test_star_distributes_over_oplus(fam_C2, rng):
 
 
 def test_equal_exact_agrees_with_sampled_on_small_family(rng):
-    fam = None
-    from polyptych import families
     fam = families.GTFamily("C", 1, (2,))
     lat = small_fam_lat(fam)
     fns = semialgebra.sample_functionals(fam, rng, count=40)
@@ -89,3 +90,118 @@ def test_leq_reflexive_and_sum_is_lower_bound(fam_C2, rng):
     s = semialgebra.oplus(a, b)
     assert semialgebra.leq(fam_C2, s, a)
     assert semialgebra.leq(fam_C2, s, b)
+
+
+# ---------------------------------------------------------------------------
+# equality over one chart per dual cone, against the all-chart loop
+
+def _chart_equal(fam, chart, a, b):
+    """The hull test on one chart, with K-dual rebuilt from the chart's cone
+    covectors."""
+    covectors = semialgebra.chart_cone_covectors(fam, chart)
+    ha = geometry.minkowski_sum_hull([m.chart(chart) for m in a.gens],
+                                     covectors, len(fam.axis))
+    hb = geometry.minkowski_sum_hull([m.chart(chart) for m in b.gens],
+                                     covectors, len(fam.axis))
+    return geometry.polyhedron_equal(ha, hb)
+
+
+def equal_all_charts(fam, a, b):
+    """Oracle: the hull test on every chart of the poset."""
+    return all(_chart_equal(fam, chart, a, b)
+               for chart in mco.charts_of(fam.poset))
+
+
+def _unequal_cones(fam, a, b):
+    """The cones (as C ∩ E) of the charts C on which the hulls differ."""
+    above = {fam.positions[(i + 1, j)] for (i, j) in fam.pihat}
+    return {chart & above for chart in mco.charts_of(fam.poset)
+            if not _chart_equal(fam, chart, a, b)}
+
+
+SMALL_FAMILIES = [("C", 1, (2,)), ("A", 2, (0, 2, 4)), ("C", 2, (2, 4))]
+
+
+def _oracle_pairs(lat, rng, kinds):
+    """Pairs of three kinds.  "equal": star is associative up to equality,
+    so oplus(a, star(a, c)) with c = c1 * c2 can be formed with either
+    bracketing, giving equal elements with different generating sets.
+    "random": two random elements.  "near": oplus(a, star(a, c)) against
+    itself with one generator dropped."""
+    for kind in kinds:
+        a, c1, c2 = (rand_elem(lat, rng, gens=1) for _ in range(3))
+        if kind == "equal":
+            yield (semialgebra.oplus(
+                       a, semialgebra.star(a, semialgebra.star(c1, c2))),
+                   semialgebra.oplus(
+                       a, semialgebra.star(semialgebra.star(a, c1), c2)))
+        elif kind == "random":
+            yield rand_elem(lat, rng), semialgebra.oplus(c1, c2)
+        else:
+            x = semialgebra.oplus(a, semialgebra.star(a, c1))
+            drop = rng.randrange(len(x.gens))
+            yield x, semialgebra.SemialgebraElement(
+                lat, x.gens[:drop] + x.gens[drop + 1:] or a.gens)
+
+
+# (family, n, lambda, equal pairs, random pairs, near misses): the oracle
+# walks all 2^d charts of an equal pair, so most equal pairs go to C1
+ORACLE_MIX = [("C", 1, (2,), 60, 30, 30), ("A", 2, (0, 2, 4), 30, 40, 40),
+              ("C", 2, (2, 4), 15, 50, 50)]
+
+
+def test_equal_exact_matches_all_chart_oracle():
+    rng = random.Random(20)
+    verdicts = []
+    for family, n, lam, equal, rand, near in ORACLE_MIX:
+        fam = families.GTFamily(family, n, lam)
+        lat = small_fam_lat(fam)
+        kinds = ["equal"] * equal + ["random"] * rand + ["near"] * near
+        rng.shuffle(kinds)
+        for x, y in _oracle_pairs(lat, rng, kinds):
+            expect = equal_all_charts(fam, x, y)
+            assert semialgebra.equal_exact(fam, x, y) == expect, (fam, x, y)
+            verdicts.append(expect)
+    assert len(verdicts) >= 300
+    assert sum(verdicts) >= 100 and len(verdicts) - sum(verdicts) >= 100
+
+
+@pytest.mark.parametrize("family, n, lam, x, y, drops", [
+    ("C", 2, (2, 4), (2, -1, -2, 0), (-1, 0, 1, -2), {
+        (1, -1, -1, -2): set(),
+        (1, -1, -2, -2): {"q21"},
+        (1, -1, -1, -3): {"q31"},
+        (1, -1, -2, -3): {"q21", "q31"}}),
+    ("A", 2, (0, 2, 4), (-2, -2, -2), (1, 2, 0), {
+        (-1, 0, -2): set(),
+        (-1, 0, -4): {"q31"}}),
+])
+def test_pair_unequal_on_one_cone_is_unequal(family, n, lam, x, y, drops):
+    """Negative control: each pair differs on exactly one cone chart, so a
+    search that skips that cone would call it equal."""
+    fam = families.GTFamily(family, n, lam)
+    lat = small_fam_lat(fam)
+    gens = lat.upsilon(lat.element(x), lat.element(y))
+    full = semialgebra.SemialgebraElement(lat, gens)
+    assert sorted(m.coord0 for m in gens) == sorted(drops)
+    for dropped, cone in drops.items():
+        rest = semialgebra.SemialgebraElement(
+            lat, [m for m in gens if m.coord0 != dropped])
+        assert _unequal_cones(fam, full, rest) == {frozenset(cone)}
+        assert not semialgebra.equal_exact(fam, full, rest)
+        assert not semialgebra.equal_exact(fam, rest, full)
+
+
+@pytest.mark.parametrize("family, n, lam", SMALL_FAMILIES + [
+    ("A", 3, (0, 2, 4, 6)), ("C", 3, (2, 4, 6))])
+def test_cone_charts_one_per_sign_vector(family, n, lam):
+    fam = families.GTFamily(family, n, lam)
+    charts = semialgebra.cone_charts(fam)
+    assert len(charts) == 2 ** len(fam.pihat)
+
+    def key(chart):
+        return tuple(sorted(lattice.chart_sign_vector(fam, chart).items()))
+
+    signs = [key(chart) for chart in charts]
+    assert len(set(signs)) == len(signs)
+    assert set(signs) == {key(chart) for chart in mco.charts_of(fam.poset)}
