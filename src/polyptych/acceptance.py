@@ -48,35 +48,29 @@ def _fam_C2():
     return families.GTFamily("C", 2, (2, 4))
 
 
-def criterion_1(rng, cfg):
-    """Transfer bijection, triangular type A, n=2."""
-    fam = _fam_A2()
+def _transfer_bijection(number, fam, kmax, expected_k1):
+    """Transfer bijection on a triangular family: at each k <= kmax every
+    chart has the same lattice-point count, which is expected_k1 at k = 1."""
     u = choose_u(fam.poset)
     ks = {}
     ok = True
-    for k in range(1, cfg["c1_kmax"] + 1):
+    for k in range(1, kmax + 1):
         rep = mco.verify_transfer_bijection(fam.poset, u, k)
-        counts = {c: e["count"] for c, e in rep["charts"].items()}
-        ks[str(k)] = {"ok": rep["ok"], "counts": sorted(set(counts.values()))}
-        ok = ok and rep["ok"] and len(set(counts.values())) == 1
-    ok = ok and ks["1"]["counts"] == [27]
-    return {"criterion": 1, "name": "transfer bijection A2", "k": ks,
-            "expected_k1": 27, "pass": ok}
+        counts = sorted({e["count"] for e in rep["charts"].values()})
+        ks[str(k)] = {"ok": rep["ok"], "counts": counts}
+        ok = ok and rep["ok"] and len(counts) == 1
+    ok = ok and ks["1"]["counts"] == [expected_k1]
+    return {"criterion": number,
+            "name": f"transfer bijection {fam.family}{fam.n}", "k": ks,
+            "expected_k1": expected_k1, "pass": ok}
+
+
+def criterion_1(rng, cfg):
+    return _transfer_bijection(1, _fam_A2(), cfg["c1_kmax"], 27)
 
 
 def criterion_2(rng, cfg):
-    fam = _fam_C2()
-    u = choose_u(fam.poset)
-    ks = {}
-    ok = True
-    for k in range(1, cfg["c2_kmax"] + 1):
-        rep = mco.verify_transfer_bijection(fam.poset, u, k)
-        counts = {c: e["count"] for c, e in rep["charts"].items()}
-        ks[str(k)] = {"ok": rep["ok"], "counts": sorted(set(counts.values()))}
-        ok = ok and rep["ok"] and len(set(counts.values())) == 1
-    ok = ok and ks["1"]["counts"] == [81]
-    return {"criterion": 2, "name": "transfer bijection C2", "k": ks,
-            "expected_k1": 81, "pass": ok}
+    return _transfer_bijection(2, _fam_C2(), cfg["c2_kmax"], 81)
 
 
 def criterion_3(rng, cfg):

@@ -1,7 +1,7 @@
 """Quotient algebra attached to a classified marked poset: one relation
 X_p Y_p = 1 + tail per unmarked element, a standard-monomial normal form,
-the induced valuation into the semialgebra, and numerical certificates
-(unit elements, Jacobian rank at variety points).
+the induced valuation into the semialgebra, and the exact Jacobian rank
+at variety points.
 
 Monomials are sparse maps p -> (a_p, b_p) of nonnegative X/Y exponents,
 canonically keyed by sorted element name; elements are sparse maps from
@@ -46,10 +46,6 @@ def mono_mul(m1, m2):
         a0, b0 = acc.get(p, (0, 0))
         acc[p] = (a0 + a, b0 + b)
     return mono(acc)
-
-
-def is_standard(m):
-    return all(min(a, b) == 0 for _, a, b in m)
 
 
 def x_var(p):
@@ -249,61 +245,7 @@ def verify_valuation(fam, rng, samples=100, mode="EXACT"):
 
 
 # ---------------------------------------------------------------------------
-# units, localization, Jacobian
-
-def laurent_y_solutions(poset, tails):
-    """Each Y_p as a Laurent polynomial in the X variables, obtained by
-    substituting Y_p = (1 + tail) / X_p from the top rank downwards.
-    Monomials are maps p -> integer X-exponent."""
-    graded = graded_structure(poset)
-    order = sorted(poset.axis, key=lambda p: -graded.rank[p])
-    sol = {}
-
-    def lmul(mon, p, e):
-        mon = dict(mon)
-        mon[p] = mon.get(p, 0) + e
-        if not mon[p]:
-            del mon[p]
-        return tuple(sorted(mon.items()))
-
-    for p in order:
-        terms = {lmul({}, p, -1): Fraction(1)}
-        tail = tails[p]
-        if tail is not None:
-            if tail[0] == "Y":
-                base = sol[tail[1]]
-                extra = None
-            else:
-                base = sol[tail[2]]
-                extra = tail[1]
-            for mon, c in base.items():
-                mon = lmul(dict(mon), p, -1)
-                if extra is not None:
-                    mon = lmul(dict(mon), extra, 1)
-                terms[mon] = terms.get(mon, Fraction(0)) + c
-        sol[p] = {m: c for m, c in terms.items() if c}
-    return sol
-
-
-def unit_and_dimension_report(poset, classification=None):
-    classification = classification or classify_spade(poset)
-    tails = build_relations(poset, classification)
-    units = [p for p in poset.axis if tails[p] is None]
-    unit_ok = all(
-        multiply({x_var(p): Fraction(1)}, {y_var(p): Fraction(1)}, tails)
-        == {ONE: Fraction(1)} for p in units)
-    u_count = sum(1 for comp in classification.components
-                  if comp.counts_as_unmarked_zigzag)
-    sol = laurent_y_solutions(poset, tails)
-    return {
-        "units": sorted(units),
-        "unit_products_trivial": unit_ok,
-        "unit_rank": u_count,
-        "unit_rank_matches": len(units) == u_count,
-        "dimension": len(poset.axis),
-        "localization_laurent": len(sol) == len(poset.axis),
-    }
-
+# variety points and the Jacobian
 
 def solve_variety_point(poset, tails, xvals):
     """Given nonzero X values, the unique Y values on the variety,
@@ -396,24 +338,3 @@ def _tail_value(tails, xvals, yvals, p):
     if tail[0] == "Y":
         return yvals[tail[1]]
     return xvals[tail[1]] * yvals[tail[2]]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def element_to_json(f):
-    out = []
-    for m in sorted(f):
-        coef = f[m]
-        out.append({"mono": {p: [a, b] for p, a, b in m},
-                    "coef": f"{coef.numerator}/{coef.denominator}"})
-    return out
-
-
-def element_from_json(data):
-    pairs = []
-    for item in data:
-        m = mono({p: tuple(ab) for p, ab in item["mono"].items()})
-        num, den = item["coef"].split("/")
-        pairs.append((m, Fraction(int(num), int(den))))
-    return element(pairs)

@@ -17,7 +17,7 @@ import sys
 import click
 
 from . import (acceptance as acceptance_mod, algebra, cox as cox_mod,
-               degeneration, families, lattice, mco, semialgebra)
+               degeneration, families, lattice, mco)
 from .geometry import BoxTooLarge, DimCapExceeded
 from .posets import (MarkedPoset, NoInteriorU, PosetError, SpadeViolation,
                      choose_u, classify_spade, validate as validate_poset)
@@ -262,8 +262,8 @@ def hilbert(kmax, **params):
 
 @main.command()
 @_source_options
-@click.option("--pairs", type=int, default=500)
-@click.option("--chart-samples", type=int, default=50)
+@click.option("--pairs", type=click.IntRange(min=1), default=500)
+@click.option("--chart-samples", type=click.IntRange(min=1), default=50)
 def dualcheck(pairs, chart_samples, **params):
     """Strict dual pairing: symmetry, injectivity, chart-cone match."""
     fam = _require_family(params)
@@ -276,7 +276,7 @@ def dualcheck(pairs, chart_samples, **params):
 
 @main.command()
 @_source_options
-@click.option("--samples", type=int, default=100)
+@click.option("--samples", type=click.IntRange(min=1), default=100)
 @click.option("--mode", type=click.Choice(["EXACT", "SAMPLED"]),
               default="EXACT")
 def valcheck(samples, mode, **params):

@@ -6,7 +6,7 @@ polynomial ring, and the boundary-unit exponent patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import algebra, geometry, lattice
 from .geometry import UnimodularityFail
@@ -34,8 +34,7 @@ class CoxCounts:
 
 def cox_counts(poset, classification=None):
     """U = number of fully-unmarked zigzag components per level, summed;
-    L = one divisor per unmarked element plus one per marked-over-unmarked
-    cover; variables = d - U + L."""
+    L = one boundary divisor per structural point; variables = d - U + L."""
     classification = classification or classify_spade(poset)
     per_level = {}
     for comp in classification.components:
@@ -43,42 +42,19 @@ def cox_counts(poset, classification=None):
             per_level[comp.level] = per_level.get(comp.level, 0) + 1
     U = sum(per_level.values())
     d = len(poset.axis)
-    corners = sum(1 for p in sorted(poset.marking)
-                  for pp in poset.lower_covers(p)
-                  if not poset.is_marked(pp))
-    L = d + corners
+    L = len(lattice.structural_points(poset))
     return CoxCounts(U, L, d - U + L, per_level)
 
 
 # ---------------------------------------------------------------------------
-# divisors
+# divisors: one per structural point, in the order of structural_points, so
+# the element divisor of p sits at poset.index(p)
 
-@dataclass(frozen=True)
-class Divisor:
-    kind: str            # "element" or "marked" (marked-over-unmarked cover)
-    p: str
-    pprime: str = None
-
-    def label(self):
-        if self.kind == "element":
-            return f"t_{self.p}"
-        return f"t_{self.p},{self.pprime}"
-
-    def functional(self):
-        if self.kind == "element":
-            return lattice.StructuralPoint("INNER", self.p)
-        return lattice.StructuralPoint("CORNER", self.p, self.pprime)
-
-
-def divisors_of(poset):
-    """The boundary divisors in the fixed layout: element divisors sorted by
-    name, then marked-cover divisors sorted by (marked, unmarked) names."""
-    out = [Divisor("element", p) for p in sorted(poset.axis)]
-    for p in sorted(poset.marking):
-        for pp in sorted(poset.lower_covers(p)):
-            if not poset.is_marked(pp):
-                out.append(Divisor("marked", p, pp))
-    return out
+def divisor_label(pt):
+    """The Cox variable of the boundary divisor at a structural point."""
+    if pt.kind == "INNER":
+        return f"t_{pt.p}"
+    return f"t_{pt.p},{pt.pprime}"
 
 
 # ---------------------------------------------------------------------------
@@ -92,25 +68,22 @@ def _xvec(fam, entries):
     return vec
 
 
-def _corner_index(fam, divisors, i, j):
-    """Index of the marked-cover divisor whose unmarked side is q_{i,j}."""
+def _corner_index(fam, points, i, j):
+    """Index of the corner divisor whose unmarked side is q_{i,j}."""
     name = fam.positions[(i, j)]
-    for k, dv in enumerate(divisors):
-        if dv.kind == "marked" and dv.pprime == name:
+    for k, pt in enumerate(points):
+        if pt.kind == "CORNER" and pt.pprime == name:
             return k
     raise Unsupported(f"no marked cover over {name}")
 
 
-def _rvec(fam, divisors, entries):
-    vec = [0] * len(divisors)
+def _rvec(fam, points, entries):
+    vec = [0] * len(points)
     for key, c in entries:
         if isinstance(key, int):
             vec[key] += c
-        else:
-            (i, j) = key
-            if (i, j) in fam.positions:
-                name = fam.positions[(i, j)]
-                vec[divisors.index(Divisor("element", name))] += c
+        elif key in fam.positions:
+            vec[fam.axis_index(*key)] += c
     return vec
 
 
@@ -121,23 +94,21 @@ def _row_positions(fam, i, jmax):
             if (i, l) in fam.positions]
 
 
-def generator_vectors(fam, eps, divisors=None):
+def generator_vectors(fam, eps, points):
     """Generators of the chart-cone divisor semigroup in Z^d x Z^L:
     the divisor unit vectors, the +-unit directions v_s, and one f per
     interior position chosen by the sign vector eps."""
-    divisors = divisors or divisors_of(fam.poset)
-    L = len(divisors)
     gens = []
-    for k, dv in enumerate(divisors):
-        gens.append((f"e_{dv.label()}", _xvec(fam, []),
-                     _rvec(fam, divisors, [(k, 1)])))
+    for k, pt in enumerate(points):
+        gens.append((f"e_{divisor_label(pt)}", _xvec(fam, []),
+                     _rvec(fam, points, [(k, 1)])))
     for s, (i, j) in enumerate(sorted(fam.units), start=1):
         x = _xvec(fam, [((i, l), 1) for (i, l) in _row_positions(fam, i, j)])
-        r = _rvec(fam, divisors,
+        r = _rvec(fam, points,
                   [((i, l), -1) for (i, l) in _row_positions(fam, i, j)]
                   + [((i + 1, l), 1)
                      for (_, l) in _row_positions(fam, i + 1, j - 1)]
-                  + [(_corner_index(fam, divisors, i, j), 1)])
+                  + [(_corner_index(fam, points, i, j), 1)])
         gens.append((f"v_{s}", x, r))
         gens.append((f"-v_{s}", [-c for c in x], [-c for c in r]))
     for (i, j) in sorted(fam.pihat):
@@ -145,13 +116,13 @@ def generator_vectors(fam, eps, divisors=None):
         row = _row_positions(fam, i, j)
         if e == 1:
             x = _xvec(fam, [((i, l), 1) for (i, l) in row])
-            r = _rvec(fam, divisors,
+            r = _rvec(fam, points,
                       [((i, l), -1) for (i, l) in row]
                       + [((i + 1, l), 1)
                          for (_, l) in _row_positions(fam, i + 1, j)])
         else:
             x = _xvec(fam, [((i, l), -1) for (i, l) in row])
-            r = _rvec(fam, divisors,
+            r = _rvec(fam, points,
                       [((i, l), 1) for (i, l) in row]
                       + [((i + 1, l), -1)
                          for (_, l) in _row_positions(fam, i + 1, j - 1)])
@@ -159,13 +130,12 @@ def generator_vectors(fam, eps, divisors=None):
     return gens
 
 
-def gamma_matrix(fam, eps, divisors=None):
+def gamma_matrix(fam, eps, points):
     """The square transformation (x, r) -> (gamma coordinates): the cone
     inequalities and divisor inequalities linearized on the chosen cone,
     completed by the unit-position coordinates."""
-    divisors = divisors or divisors_of(fam.poset)
     d = len(fam.axis)
-    L = len(divisors)
+    L = len(points)
     above = {fam.positions[(i + 1, j)]: (i, j) for (i, j) in fam.pihat}
     rows = []
     for (i, j) in sorted(fam.pihat):
@@ -176,9 +146,8 @@ def gamma_matrix(fam, eps, divisors=None):
         e = eps[(i, j)]
         lower = (i, j) if e == 1 else (i, j + 1)
         row = _xvec(fam, [((i + 1, j), 1), (lower, -1)])
-        name = fam.positions[(i + 1, j)]
         rrow = [0] * L
-        rrow[divisors.index(Divisor("element", name))] = 1
+        rrow[fam.axis_index(i + 1, j)] = 1
         rows.append(row + rrow)
     for p in sorted(fam.poset.axis):
         if p in above:
@@ -192,13 +161,13 @@ def gamma_matrix(fam, eps, divisors=None):
         if unmarked_lower:
             row[fam.poset.index(unmarked_lower[0])] = -1
         rrow = [0] * L
-        rrow[divisors.index(Divisor("element", p))] = 1
+        rrow[fam.poset.index(p)] = 1
         rows.append(row + rrow)
-    for k, dv in enumerate(divisors):
-        if dv.kind != "marked":
+    for k, pt in enumerate(points):
+        if pt.kind != "CORNER":
             continue
         row = [0] * d
-        row[fam.poset.index(dv.pprime)] = -1
+        row[fam.poset.index(pt.pprime)] = -1
         rrow = [0] * L
         rrow[k] = 1
         rows.append(row + rrow)
@@ -213,15 +182,15 @@ def semigroup_generators(fam, eps):
     """Generator list with the certificate: the gamma transformation is
     unimodular, every generator satisfies all divisor inequalities exactly,
     and the generators map bijectively onto signed unit vectors."""
-    divisors = divisors_of(fam.poset)
-    gens = generator_vectors(fam, eps, divisors)
-    matrix = gamma_matrix(fam, eps, divisors)
+    points = lattice.structural_points(fam.poset)
+    gens = generator_vectors(fam, eps, points)
+    matrix = gamma_matrix(fam, eps, points)
     determinant = geometry.det(matrix)
     if abs(determinant) != 1:
         raise UnimodularityFail(
             f"gamma transformation has determinant {determinant}")
     lat = lattice.PolyptychLattice(fam.poset)
-    functionals = [dv.functional() for dv in divisors]
+
     def in_cone(x):
         return all(e * (fam.coord(x, i, j) - fam.coord(x, i, j + 1)) >= 0
                    for (i, j), e in eps.items())
@@ -229,7 +198,7 @@ def semigroup_generators(fam, eps):
     membership = []
     for label, x, r in gens:
         m = lat.element(x)
-        vals = [phi(m) + rk for phi, rk in zip(functionals, r)]
+        vals = [phi(m) + rk for phi, rk in zip(points, r)]
         if label.startswith(("v_", "-v")):
             ok = all(v == 0 for v in vals)
         else:
@@ -243,7 +212,7 @@ def semigroup_generators(fam, eps):
     if not bijective:
         raise UnimodularityFail("generators do not map onto unit vectors")
     return {
-        "divisor_layout": [dv.label() for dv in divisors],
+        "divisor_layout": [divisor_label(pt) for pt in points],
         "generators": [{"label": lab, "x": list(x), "r": list(r)}
                        for lab, x, r in gens],
         "determinant": determinant,
@@ -270,16 +239,16 @@ def all_sign_vectors(fam):
 
 def verify_f_pair_identity(fam):
     """f_{q,+1} + f_{q,-1} equals the divisor unit vector above q."""
-    divisors = divisors_of(fam.poset)
+    points = lattice.structural_points(fam.poset)
     plus = {g[0]: g for g in generator_vectors(
-        fam, {ij: 1 for ij in fam.pihat}, divisors)}
+        fam, {ij: 1 for ij in fam.pihat}, points)}
     minus = {g[0]: g for g in generator_vectors(
-        fam, {ij: -1 for ij in fam.pihat}, divisors)}
+        fam, {ij: -1 for ij in fam.pihat}, points)}
     for (i, j) in fam.pihat:
         name = fam.positions[(i, j)]
         _, xp, rp = plus[f"f_{name},+1"]
         _, xm, rm = minus[f"f_{name},-1"]
-        expect_r = _rvec(fam, divisors, [((i + 1, j), 1)])
+        expect_r = _rvec(fam, points, [((i + 1, j), 1)])
         if [a + b for a, b in zip(xp, xm)] != [0] * len(xp):
             return False
         if [a + b for a, b in zip(rp, rm)] != expect_r:
@@ -335,21 +304,19 @@ def eta_unit_check(fam):
     """ord exponent pattern of each boundary unit across all divisors:
     +1 along its row, -1 along the row above, -1 at its marked-cover
     divisor, 0 elsewhere."""
-    poset = fam.poset
-    divisors = divisors_of(poset)
-    lat = lattice.PolyptychLattice(poset)
-    report = {"divisor_layout": [dv.label() for dv in divisors],
+    points = lattice.structural_points(fam.poset)
+    lat = lattice.PolyptychLattice(fam.poset)
+    report = {"divisor_layout": [divisor_label(pt) for pt in points],
               "units": [], "ok": True}
     for s, (i, j) in enumerate(sorted(fam.units), start=1):
         m = lat.element(fam.eps_leq(i, j))
-        corner = _corner_index(fam, divisors, i, j)
+        corner = _corner_index(fam, points, i, j)
         pattern = {}
-        for k, dv in enumerate(divisors):
-            val = dv.functional()(m)
+        for k, pt in enumerate(points):
+            val = pt(m)
             expect = 0
-            if dv.kind == "element":
-                (pi, pj) = next(ij for ij, nm in fam.positions.items()
-                                if nm == dv.p)
+            if pt.kind == "INNER":
+                pi = fam.pos_of[pt.p][0]
                 if pi == i:
                     expect = 1
                 elif pi == i + 1:
@@ -358,10 +325,10 @@ def eta_unit_check(fam):
                 expect = -1
             if val != expect:
                 raise PatternFail(
-                    f"unit s={s}: ord at {dv.label()} is {val}, "
+                    f"unit s={s}: ord at {divisor_label(pt)} is {val}, "
                     f"expected {expect}")
             if val:
-                pattern[dv.label()] = val
+                pattern[divisor_label(pt)] = val
         report["units"].append({"s": s, "position": [i, j],
                                 "exponents": pattern})
     return report

@@ -17,10 +17,6 @@ from .geometry import UnimodularityFail
 from .posets import classify_spade
 
 
-class GenerationGap(Exception):
-    pass
-
-
 class OrdFail(Exception):
     pass
 
@@ -171,10 +167,6 @@ class ChartValuationSpec:
     certificate: dict   # determinant and membership record
 
 
-def _dual_y_vector(fam, dual):
-    return tuple(dual.y[ij] for ij in sorted(fam.positions))
-
-
 def default_chart_valuation_spec(fam, chart):
     """Ordered basis from the dual-cone generators, completed greedily to
     the first unimodular subset (in generator order)."""
@@ -183,9 +175,7 @@ def default_chart_valuation_spec(fam, chart):
     dim = len(fam.axis)
     signs = lattice.chart_sign_vector(fam, chart)
     for combo in combinations(range(len(duals)), dim):
-        vecs = [_dual_y_vector(fam, duals[i]) for i in combo]
-        matrix = [[vecs[r][c] for c in range(dim)] for r in range(dim)]
-        determinant = geometry.det(matrix)
+        determinant = geometry.det([duals[i].key() for i in combo])
         if abs(determinant) == 1:
             chosen = [duals[i] for i in combo]
             if not all(lattice.dual_in_cone(fam, d, signs) for d in chosen):

@@ -80,9 +80,6 @@ class GTFamily:
 
     # -- grid helpers -------------------------------------------------------
 
-    def exists(self, i, j):
-        return (i, j) in self.positions
-
     def grid_name(self, i, j):
         return self.positions.get((i, j)) or self.marked_positions.get((i, j))
 
@@ -110,11 +107,6 @@ class GTFamily:
     def axis_index(self, i, j):
         return self._axis_index[(i, j)]
 
-    def unit_vector(self, i, j):
-        v = [0] * len(self.axis)
-        v[self.axis_index(i, j)] = 1
-        return tuple(v)
-
     def eps_leq(self, i, j):
         """The 0-chart coordinate of the row partial sum e_{i,start}+...+e_{i,j}."""
         v = [0] * len(self.axis)
@@ -126,9 +118,3 @@ class GTFamily:
         """x_{i,j} from an axis vector, with missing positions read as 0."""
         k = self._axis_index.get((i, j))
         return 0 if k is None else x[k]
-
-    def lam_bounds(self):
-        values = list(self.lam)
-        if self.family == "C":
-            values.append(0)
-        return min(values), max(values)

@@ -104,16 +104,6 @@ class HPolyhedron:
     def to_json(self):
         return {"ineqs": [[*a, _frac_str(b)] for a, b in self.rows]}
 
-    @classmethod
-    def from_json(cls, data, dim=None):
-        rows = []
-        for row in data["ineqs"]:
-            *a, b = row
-            rows.append((tuple(int(x) for x in a), _parse_frac(b)))
-        if dim is None:
-            dim = len(rows[0][0]) if rows else 0
-        return cls(dim, rows)
-
     def __repr__(self):
         return f"HPolyhedron(dim={self.dim}, rows={len(self.rows)})"
 
@@ -141,13 +131,6 @@ class VPolyhedron:
 def _frac_str(b):
     b = Fraction(b)
     return str(b.numerator) if b.denominator == 1 else f"{b.numerator}/{b.denominator}"
-
-
-def _parse_frac(s):
-    if isinstance(s, str) and "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +363,3 @@ def det(matrix):
 def rank(rows):
     """Exact rank of a matrix with rational entries."""
     return len(row_echelon([primitive(r) for r in rows])[1])
-
-
-def is_unimodular(matrix):
-    """Whether an integer square matrix has determinant +-1."""
-    return abs(det(matrix)) == 1

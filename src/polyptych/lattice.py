@@ -126,6 +126,9 @@ class StructuralPoint:
 
 
 def structural_points(poset):
+    """INNER(p) for each p in axis order, then CORNER(p, p') for each marked
+    p and unmarked lower cover p', both by name.  The Cox ring has one
+    boundary divisor per point, in this order."""
     points = [StructuralPoint("INNER", p) for p in poset.axis]
     for p in sorted(poset.marking):
         for pp in poset.lower_covers(p):
@@ -166,18 +169,12 @@ def pl_hat_delta(poset, u):
     """Half-space data cutting out the centered polytope inside the lattice:
     phi_p >= u_q - u_p (any lower cover q) and phi_{p,p'} >= u_{p'} - lam_p."""
     uval = dict(u.u)
-    for a, lam in poset.marking.items():
-        uval[a] = lam
+    uval.update(poset.marking)
     rows = []
-    for p in poset.axis:
-        q = poset.lower_covers(p)[0]
-        rows.append(PLHalfSpace(StructuralPoint("INNER", p), uval[q] - uval[p]))
-    for p in sorted(poset.marking):
-        for pp in poset.lower_covers(p):
-            if not poset.is_marked(pp):
-                rows.append(PLHalfSpace(
-                    StructuralPoint("CORNER", p, pp),
-                    uval[pp] - poset.marking[p]))
+    for phi in structural_points(poset):
+        q = (phi.pprime if phi.kind == "CORNER"
+             else poset.lower_covers(phi.p)[0])
+        rows.append(PLHalfSpace(phi, uval[q] - uval[phi.p]))
     return tuple(rows)
 
 

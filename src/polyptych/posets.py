@@ -12,7 +12,8 @@ off this classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 
 class PosetError(Exception):
@@ -36,6 +37,16 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 def _encode_int(v):
     return v if _INT64_MIN <= v <= _INT64_MAX else str(v)
+
+
+def _decode_int(name, v):
+    """A marking value read back from JSON: an int that is not a bool, or
+    an integer string as _encode_int writes beyond int64."""
+    if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise PosetError(f"marking of {name} must be an integer, not {v!r}")
 
 
 JSON_KEYS = ("elements", "covers", "marked")  # the keys to_json writes
@@ -101,7 +112,7 @@ class MarkedPoset:
         marked = data.get("marked", {})
         if not isinstance(marked, dict):
             raise PosetError("marked must map element names to values")
-        marking = {a: int(v) for a, v in marked.items()}
+        marking = {a: _decode_int(a, v) for a, v in marked.items()}
         return cls(data["elements"], [tuple(c) for c in data["covers"]], marking)
 
     def __repr__(self):
@@ -259,12 +270,6 @@ class SpadeClassification:
     components: list
     lower_pos: dict  # element -> (component index, 1-based position in lower)
     upper_pos: dict  # element -> (component index, 1-based position in upper)
-
-    def component_of_lower(self, p):
-        return self.components[self.lower_pos[p][0]]
-
-    def component_of_upper(self, q):
-        return self.components[self.upper_pos[q][0]]
 
 
 def classify_spade(poset, graded=None):

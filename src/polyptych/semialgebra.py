@@ -40,15 +40,8 @@ class SemialgebraElement:
             raise ValueError("a finite element needs at least one generator")
         self.gens = tuple(seen[c] for c in sorted(seen))
 
-    def coords(self):
-        return [m.coord0 for m in self.gens]
-
     def __repr__(self):
         return f"SemialgebraElement({[m.coord0 for m in self.gens]})"
-
-
-def from_coords(lat, coords):
-    return SemialgebraElement(lat, [lat.element(c) for c in coords])
 
 
 def oplus(a, b):
@@ -153,27 +146,3 @@ def equal(a, b, mode="EXACT", fam=None, functionals=None):
             raise ValueError("SAMPLED equality needs point functionals")
         return equal_sampled(a, b, functionals)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def canonicalize(fam, elem):
-    """Minimal generating set: drop any generator whose removal preserves
-    hull equality."""
-    if elem is INFINITY:
-        return INFINITY
-    gens = list(elem.gens)
-    changed = True
-    while changed and len(gens) > 1:
-        changed = False
-        for k in range(len(gens)):
-            trial = gens[:k] + gens[k + 1:]
-            cand = SemialgebraElement(elem.lattice, trial)
-            if equal_exact(fam, cand, SemialgebraElement(elem.lattice, gens)):
-                gens = trial
-                changed = True
-                break
-    return SemialgebraElement(elem.lattice, gens)
-
-
-def leq(fam, a, b):
-    """Partial order: a <= b iff a + b = a."""
-    return equal_exact(fam, oplus(a, b), a)

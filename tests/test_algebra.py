@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyptych import algebra, lattice, semialgebra
+from polyptych import algebra, cox, lattice, semialgebra
 from polyptych.posets import classify_spade, gt_type_C
 
 
@@ -46,7 +46,7 @@ def test_normal_form_terminates_and_standard(fam_C2, cls_C2, rng):
         f = algebra.random_sparse(rng, fam_C2.poset, terms=3, max_exp=2)
         nf = algebra.normal_form(f, tails)
         for m in nf:
-            assert algebra.is_standard(m)
+            assert all(min(a, b) == 0 for _, a, b in m)
 
 
 def test_multiply_associative(fam_C2, cls_C2, rng):
@@ -66,7 +66,7 @@ def test_adapted_basis_roundtrip(vec):
     p = gt_type_C(2, (2, 4))
     cls = classify_spade(p)
     m = algebra.m_to_monomial(p, cls, tuple(vec))
-    assert algebra.is_standard(m)
+    assert all(min(a, b) == 0 for _, a, b in m)
     assert algebra.monomial_to_m(p, cls, m) == tuple(vec)
 
 
@@ -90,11 +90,10 @@ def test_valuation_star_identity(fam_C2, cls_C2):
 
 
 def test_unit_report(fam_C2, cls_C2):
-    rep = algebra.unit_and_dimension_report(fam_C2.poset, cls_C2)
-    assert rep["unit_products_trivial"]
-    assert rep["unit_rank_matches"]
-    assert rep["localization_laurent"]
-    assert rep["units"] == ["q12", "q31"]
+    tails = tails_of(fam_C2, cls_C2)
+    units = sorted(p for p in fam_C2.axis if tails[p] is None)
+    assert units == ["q12", "q31"]
+    assert len(units) == cox.cox_counts(fam_C2.poset, cls_C2).U
 
 
 def test_jacobian_rank(fam_C2, rng):
@@ -110,9 +109,3 @@ def test_degenerate_point_solves_relations(fam_C2, cls_C2):
     vals = algebra.evaluate_relations(fam_C2.poset, tails, xv, yv)
     assert all(v == 0 for v in vals)
     assert xv["q21"] == 0 and yv["q21"] == 0
-
-
-def test_element_json_roundtrip(fam_C2, rng):
-    f = algebra.random_sparse(rng, fam_C2.poset, terms=3)
-    again = algebra.element_from_json(algebra.element_to_json(f))
-    assert again == f

@@ -130,6 +130,12 @@ def test_nobody_small(runner):
     ["transfer", "--family", "gtA", "--n", "2", "--k", "-1"],
     ["hilbert", "--family", "gtA", "--n", "2", "--kmax", "-1"],
     ["polytope", "--family", "gtA", "--n", "0"],
+    ["valcheck", "--family", "gtC", "--n", "2", "--samples", "-3"],
+    ["valcheck", "--family", "gtC", "--n", "2", "--samples", "0"],
+    ["dualcheck", "--family", "gtC", "--n", "1", "--pairs", "-2",
+     "--chart-samples", "-1"],
+    ["dualcheck", "--family", "gtC", "--n", "1", "--pairs", "0"],
+    ["dualcheck", "--family", "gtC", "--n", "1", "--chart-samples", "0"],
 ])
 def test_out_of_range_argument_is_usage_error(runner, args):
     result = runner.invoke(main, args)
@@ -235,6 +241,8 @@ def test_invalid_poset_is_usage_error(runner, tmp_path, command, marked,
 @pytest.mark.parametrize("extra, needles", [
     ({"marking": {"a": 0, "c": 2}}, ("marking", "elements, covers, marked")),
     ({"marked": [0, 2]}, ("marked must map",)),
+    ({"marked": {"a": 0, "c": 1.5}}, ("marking of c", "1.5")),
+    ({"marked": {"a": 0, "c": True}}, ("marking of c", "True")),
 ])
 def test_malformed_poset_keys_are_usage_errors(runner, tmp_path, extra,
                                                needles):

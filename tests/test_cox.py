@@ -1,6 +1,6 @@
 import pytest
 
-from polyptych import cox, families
+from polyptych import cox, families, lattice
 from polyptych.posets import chain_poset, gt_type_A, gt_type_C
 
 
@@ -24,19 +24,19 @@ def test_counts_single_segment():
 
 
 def test_divisor_layout(fam_C2):
-    divs = cox.divisors_of(fam_C2.poset)
-    kinds = [d.kind for d in divs]
-    assert kinds == sorted(kinds, key=lambda k: k != "element")
-    labels = [d.label() for d in divs]
+    points = lattice.structural_points(fam_C2.poset)
+    kinds = [pt.kind for pt in points]
+    assert kinds == sorted(kinds, key=lambda k: k != "INNER")
+    # the element divisor of p sits at poset.index(p)
+    assert [pt.p for pt in points if pt.kind == "INNER"] == list(fam_C2.axis)
+    labels = [cox.divisor_label(pt) for pt in points]
     assert len(set(labels)) == len(labels)
 
 
 def test_divisor_functionals_integral_and_homogeneous(fam_C2, rng):
-    from polyptych import lattice
     lat = lattice.PolyptychLattice(fam_C2.poset)
     m = lat.element(tuple(rng.randint(-3, 3) for _ in fam_C2.axis))
-    for d in cox.divisors_of(fam_C2.poset):
-        phi = d.functional()
+    for phi in lattice.structural_points(fam_C2.poset):
         v = phi(m)
         assert v == int(v)
         assert phi(m.scale(3)) == 3 * v

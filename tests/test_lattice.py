@@ -37,7 +37,7 @@ def test_point_axiom_structural(fam_C2, rng):
               lat.element(tuple(rng.randint(-3, 3) for _ in range(lat.dim))))
              for _ in range(10)]
     for phi in pts:
-        assert lattice.verify_point_axiom(lat, phi, pairs)
+        assert lattice.verify_point_axiom(lat, phi, pairs)["ok"]
 
 
 def test_linearity_directions(fam_A2, rng):
@@ -45,7 +45,7 @@ def test_linearity_directions(fam_A2, rng):
     dirs = lattice.gt_linearity_directions(fam_A2)
     vectors = [tuple(rng.randint(-3, 3) for _ in range(lat.dim))
                for _ in range(8)]
-    assert lattice.verify_linearity_space(lat, dirs, vectors)
+    assert lattice.verify_linearity_space(lat, dirs, vectors)["ok"]
 
 
 def test_pl_description(fam_C2, rng):
@@ -53,7 +53,18 @@ def test_pl_description(fam_C2, rng):
     u = choose_u(fam_C2.poset)
     samples = [tuple(rng.randint(-4, 4) for _ in range(lat.dim))
                for _ in range(40)]
-    assert lattice.verify_pl_description(lat, u, samples)
+    assert lattice.verify_pl_description(lat, u, samples)["ok"]
+
+
+@pytest.mark.parametrize("drop", range(6))
+def test_pl_description_without_a_half_space_fails(fam_C2, monkeypatch,
+                                                   drop):
+    u = choose_u(fam_C2.poset)
+    full = lattice.pl_hat_delta
+    assert len(full(fam_C2.poset, u)) == 6
+    monkeypatch.setattr(lattice, "pl_hat_delta", lambda poset, u: tuple(
+        hs for k, hs in enumerate(full(poset, u)) if k != drop))
+    assert lattice.verify_pl_description(lat_of(fam_C2), u)["ok"] is False
 
 
 def test_dual_completion_determines_values(fam_C2, rng):

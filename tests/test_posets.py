@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from polyptych.posets import (MarkedPoset, NoInteriorU, SpadeViolation,
@@ -76,6 +78,10 @@ def test_json_roundtrip():
     assert q.elements == p.elements
     assert q.covers == p.covers
     assert q.marking == p.marking
+    big = chain_poset(1, 0, 2**70)
+    data = json.loads(json.dumps(big.to_json()))
+    assert data["marked"]["top"] == str(2**70)
+    assert MarkedPoset.from_json(data).marking == {"bot": 0, "top": 2**70}
 
 
 def test_graded_structure_ranks():
