@@ -94,11 +94,10 @@ class PolyptychLattice:
         return self.from_chart(chart, total)
 
     def upsilon(self, m1, m2):
-        seen = {}
-        for chart in self.charts():
-            s = self.add_in_chart(m1, m2, chart)
-            seen[s.coord0] = s
-        return tuple(seen[c] for c in sorted(seen))
+        """The distinct chart sums of m1 and m2 over all charts, sorted by
+        chart-0 coordinate (see mco.chart_sums)."""
+        return tuple(self.element(z) for z in
+                     mco.chart_sums(self.poset, m1.coord0, m2.coord0))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +303,13 @@ class DualElement:
     """Element of the dual lattice: paired integer vectors (y, y') over the
     unmarked grid positions, satisfying the triangular min-equations."""
 
-    __slots__ = ("fam", "y", "yp")
+    __slots__ = ("fam", "y", "yp", "_rows")
 
     def __init__(self, fam, y, yp):
         self.fam = fam
         self.y = dict(y)
         self.yp = dict(yp)
+        self._rows = None  # compiled pairing rows, filled by eval_w
 
     def key(self):
         return tuple(self.y[ij] for ij in sorted(self.y))
@@ -391,14 +391,20 @@ def dual_eps_prime(fam, i, j):
 def eval_w(fam, dual, x):
     """Pairing w(n)(m) via the telescoping row expansion of the chart-0
     coordinate of m: the coefficient of the row prefix sum through (i,j) is
-    x_{i,j} - x_{i,j+1}, paired with y (nonnegative side) or y' (negative)."""
+    x_{i,j} - x_{i,j+1}, paired with y (nonnegative side) or y' (negative).
+
+    The dual's rows (axis index of (i,j), that of (i,j+1) or None, y, y')
+    are compiled on its first evaluation."""
+    rows = dual._rows
+    if rows is None:
+        index = fam._axis_index
+        rows = dual._rows = tuple(
+            (index[ij], index.get((ij[0], ij[1] + 1)), dual.y[ij], dual.yp[ij])
+            for ij in fam.positions)
     total = 0
-    for (i, j) in fam.positions:
-        c = fam.coord(x, i, j) - fam.coord(x, i, j + 1)
-        if c >= 0:
-            total += c * dual.y[(i, j)]
-        else:
-            total += c * dual.yp[(i, j)]
+    for k, right, y, yp in rows:
+        c = x[k] if right is None else x[k] - x[right]
+        total += c * (y if c >= 0 else yp)
     return total
 
 

@@ -155,6 +155,39 @@ def _inverse(plan, xp):
     return tuple(out)
 
 
+def _cover_max(x, lower, m):
+    """M(x)_p of a mu-plan entry: the largest x_q over the unmarked lower
+    covers q, and 0 when p has a marked lower cover; mu subtracts it."""
+    for j in lower:
+        v = -x[j]
+        if m is None or v < m:
+            m = v
+    return -m
+
+
+def chart_sums(poset, x1, x2):
+    """The distinct chart sums mu_C^{-1}(mu_C(x1) + mu_C(x2)) over all
+    charts C, sorted, found without visiting a chart.
+
+    The sum in chart C is S + D with S = x1 + x2, D_p = 0 for p not in C
+    and D_p = M(S + D)_p - M(x1)_p - M(x2)_p for p in C, filled in rank
+    order.  One walk of the full chart's mu plan keeps, at each element p,
+    every partial sum (its "p not in C" child) and adds the "p in C" child
+    only when its deviation is nonzero.  Partial sums that differ at a
+    walked coordinate never meet again, so each chart sum appears once.
+    """
+    sums = [[a + b for a, b in zip(x1, x2)]]
+    for i, lower, m in _plans(poset, frozenset(poset.axis))[1]:
+        base = _cover_max(x1, lower, m) + _cover_max(x2, lower, m)
+        for k in range(len(sums)):
+            dev = _cover_max(sums[k], lower, m) - base
+            if dev:
+                z = sums[k].copy()
+                z[i] += dev
+                sums.append(z)
+    return sorted(map(tuple, sums))
+
+
 def transfer(poset, chart, x):
     """phi: x'_p = x_p + min(-x_q / -lam_q over lower covers) for p in chart."""
     return _forward(_plans(poset, chart)[0], x)

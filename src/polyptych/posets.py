@@ -39,14 +39,17 @@ def _encode_int(v):
     return v if _INT64_MIN <= v <= _INT64_MAX else str(v)
 
 
-def _decode_int(name, v):
-    """A marking value read back from JSON: an int that is not a bool, or
-    an integer string as _encode_int writes beyond int64."""
+def _decode_int(v):
+    """A marking value read back from JSON: an integer string, as
+    _encode_int writes beyond int64, becomes an int; the constructor checks
+    every other value."""
     if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v):
         return int(v)
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise PosetError(f"marking of {name} must be an integer, not {v!r}")
+    return v
+
+
+def _is_list_of(value, kind):
+    return isinstance(value, list) and all(isinstance(v, kind) for v in value)
 
 
 JSON_KEYS = ("elements", "covers", "marked")  # the keys to_json writes
@@ -66,7 +69,11 @@ class MarkedPoset:
         for q, p in self.covers:
             if q not in elements or p not in elements:
                 raise PosetError(f"cover ({q}, {p}) references unknown element")
-        self.marking = {a: int(v) for a, v in marking.items()}
+        for a, v in marking.items():
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise PosetError(
+                    f"marking of {a} must be an integer, not {v!r}")
+        self.marking = dict(marking)
         for a in self.marking:
             if a not in elements:
                 raise PosetError(f"marked element {a} not in poset")
@@ -112,8 +119,15 @@ class MarkedPoset:
         marked = data.get("marked", {})
         if not isinstance(marked, dict):
             raise PosetError("marked must map element names to values")
-        marking = {a: _decode_int(a, v) for a, v in marked.items()}
-        return cls(data["elements"], [tuple(c) for c in data["covers"]], marking)
+        marking = {a: _decode_int(v) for a, v in marked.items()}
+        elements, covers = data.get("elements"), data.get("covers")
+        if not _is_list_of(elements, str):
+            raise PosetError("elements must be a list of element names")
+        if not (isinstance(covers, list) and all(
+                _is_list_of(c, str) and len(c) == 2 for c in covers)):
+            raise PosetError("covers must be a list of [lower, upper] "
+                             "name pairs")
+        return cls(elements, [tuple(c) for c in covers], marking)
 
     def __repr__(self):
         return (f"MarkedPoset({len(self.elements)} elements, "

@@ -243,6 +243,8 @@ def test_invalid_poset_is_usage_error(runner, tmp_path, command, marked,
     ({"marked": [0, 2]}, ("marked must map",)),
     ({"marked": {"a": 0, "c": 1.5}}, ("marking of c", "1.5")),
     ({"marked": {"a": 0, "c": True}}, ("marking of c", "True")),
+    ({"elements": "apc"}, ("elements must be a list",)),
+    ({"covers": ["ap", "pc"]}, ("covers must be a list",)),
 ])
 def test_malformed_poset_keys_are_usage_errors(runner, tmp_path, extra,
                                                needles):

@@ -1,10 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from polyptych import lattice
-from polyptych.posets import choose_u
+from polyptych import lattice, mco
+from polyptych.families import GTFamily
+from polyptych.posets import (MarkedPoset, basic_pi1, basic_pi2, chain_poset,
+                              choose_u)
 
 
 def lat_of(fam):
@@ -116,3 +119,130 @@ def test_linear_extension_target_outside_span():
     rows = [((1, 1, 0), 1), ((2, 2, 0), 2)]
     with pytest.raises(lattice.DualFail, match="outside"):
         lattice._linear_extension(rows, (1, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# upsilon against the all-chart loop
+
+def upsilon_all_charts(lat, m1, m2):
+    """Reference: add in every chart, drop repeats, sort by chart-0 coord."""
+    return sorted({lat.add_in_chart(m1, m2, c).coord0 for c in lat.charts()})
+
+
+def chart_sums_all_charts(poset, x1, x2):
+    """The same reference through the chart maps, for posets that are not
+    graded and so have no PolyptychLattice."""
+    return sorted({mco.mu_inverse(poset, c, tuple(
+        a + b for a, b in zip(mco.mu(poset, c, x1), mco.mu(poset, c, x2))))
+        for c in mco.charts_of(poset)})
+
+
+def random_dag(rng, size=6):
+    """Hasse diagram of a random poset, usually not graded: marked bottom
+    and top, elements each above one to three earlier ones, the top
+    covering every maximal element, and one element that is covered by
+    another marked as well.  Redundant relations are dropped."""
+    names = [f"e{k}" for k in range(size)]
+    below = {}  # element -> every element below it
+    covers = set()
+    for k, p in enumerate(names):
+        earlier = ["bot"] + names[:k]
+        chosen = rng.sample(earlier, min(len(earlier), rng.randint(1, 3)))
+        below[p] = set(chosen).union(*(below.get(q, ()) for q in chosen))
+        covers.update((q, p) for q in chosen)
+    maximal = [p for p in names if not any(q == p for q, _ in covers)]
+    covers.update((p, "top") for p in maximal)
+    covers = [(q, p) for q, p in covers if not any(
+        q in below.get(r, ()) for r, pp in covers if pp == p)]
+    middle = rng.choice(sorted(q for q, p in covers if p != "top"
+                               and q != "bot"))
+    marking = {"bot": 0, "top": 9, middle: rng.randint(0, 9)}
+    return MarkedPoset(["bot", "top", *names], covers, marking)
+
+
+def _seeded_pairs(lat, rng, count):
+    def element():
+        return lat.element(tuple(rng.randint(-9, 9) for _ in lat.axis))
+    return [(element(), element()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("poset, count", [
+    (GTFamily("A", 2, (0, 2, 4)).poset, 40),
+    (GTFamily("C", 2, (2, 4)).poset, 40),
+    (GTFamily("A", 3, (0, 1, 3, 5)).poset, 20),
+    (GTFamily("C", 3, (2, 4, 6)).poset, 3),
+    (chain_poset(3, 0, 4), 20),
+    (basic_pi1(2), 20),
+    (basic_pi2(2, 1), 20),
+], ids=["A2", "C2", "A3", "C3", "chain", "pi1", "pi2"])
+def test_upsilon_matches_all_charts(poset, count):
+    lat = lattice.PolyptychLattice(poset)
+    for m1, m2 in _seeded_pairs(lat, random.Random(7), count):
+        assert ([s.coord0 for s in lat.upsilon(m1, m2)]
+                == upsilon_all_charts(lat, m1, m2))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_chart_sums_match_all_charts_on_random_dags(seed):
+    rng = random.Random(seed)
+    poset = random_dag(rng)
+    for _ in range(10):
+        x1, x2 = (tuple(rng.randint(-9, 9) for _ in poset.axis)
+                  for _ in range(2))
+        assert (mco.chart_sums(poset, x1, x2)
+                == chart_sums_all_charts(poset, x1, x2))
+
+
+def test_upsilon_visits_no_chart(monkeypatch):
+    fam = GTFamily("C", 3, (2, 4, 6))
+    lat = lat_of(fam)
+    pairs = _seeded_pairs(lat, random.Random(1), 4)
+
+    def visited(*args):
+        raise AssertionError("upsilon visited a chart")
+
+    monkeypatch.setattr(lattice.PolyptychLattice, "add_in_chart", visited)
+    monkeypatch.setattr(mco, "mu_inverse", visited)
+    for m1, m2 in pairs:
+        sums = lat.upsilon(m1, m2)
+        assert tuple(a + b for a, b in zip(m1.coord0, m2.coord0)) in {
+            s.coord0 for s in sums}
+    for phi in lattice.structural_points(fam.poset):
+        assert lattice.verify_point_axiom(lat, phi, pairs)["ok"]
+
+
+# ---------------------------------------------------------------------------
+# eval_w against the row expansion through fam.coord
+
+def eval_w_reference(fam, dual, x):
+    total = 0
+    for (i, j) in fam.positions:
+        c = fam.coord(x, i, j) - fam.coord(x, i, j + 1)
+        total += c * (dual.y[(i, j)] if c >= 0 else dual.yp[(i, j)])
+    return total
+
+
+@pytest.mark.parametrize("fam", [
+    GTFamily("A", 2, (0, 2, 4)), GTFamily("C", 2, (2, 4)),
+    GTFamily("A", 3, (0, 1, 3, 5)), GTFamily("C", 3, (2, 4, 6))],
+    ids=["A2", "C2", "A3", "C3"])
+def test_eval_w_matches_row_expansion(fam):
+    rng = random.Random(5)
+    index = fam._axis_index
+    ties = 0
+    for _ in range(30):
+        dual = lattice.random_dual(fam, rng)
+        for _ in range(6):
+            x = [rng.randint(-9, 9) for _ in fam.axis]
+            # make x_{i,j} = x_{i,j+1} (0 past the row end) at some
+            # positions, right to left: the c = 0 edge between the y branch
+            # and the y' branch
+            for (i, j), k in sorted(index.items(), key=lambda e: -e[0][1]):
+                if rng.random() < 0.4:
+                    x[k] = fam.coord(x, i, j + 1)
+            x = tuple(x)
+            ties += sum(fam.coord(x, i, j) == fam.coord(x, i, j + 1)
+                        for (i, j) in index)
+            assert (lattice.eval_w(fam, dual, x)
+                    == eval_w_reference(fam, dual, x))
+    assert ties > 0

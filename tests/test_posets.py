@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from polyptych.posets import (MarkedPoset, NoInteriorU, SpadeViolation,
-                              basic_pi1, basic_pi2, chain_poset, choose_u,
-                              classify_spade, gt_type_A, gt_type_C,
-                              graded_structure, validate)
+from polyptych.posets import (MarkedPoset, NoInteriorU, PosetError,
+                              SpadeViolation, basic_pi1, basic_pi2,
+                              chain_poset, choose_u, classify_spade,
+                              gt_type_A, gt_type_C, graded_structure,
+                              validate)
 
 
 def three_fan():
@@ -82,6 +83,13 @@ def test_json_roundtrip():
     data = json.loads(json.dumps(big.to_json()))
     assert data["marked"]["top"] == str(2**70)
     assert MarkedPoset.from_json(data).marking == {"bot": 0, "top": 2**70}
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, "2", True, None])
+def test_constructor_rejects_non_integer_marking(value):
+    with pytest.raises(PosetError, match="marking of c"):
+        MarkedPoset(["a", "p", "c"], [("a", "p"), ("p", "c")],
+                    {"a": 0, "c": value})
 
 
 def test_graded_structure_ranks():
