@@ -135,10 +135,11 @@ def criterion_5(rng, cfg):
             pairs.append((m1, m2, lat.upsilon(m1, m2)))
         for phi in functionals:
             for m1, m2, ups in pairs:
-                if phi(m1) + phi(m2) != min(phi(s) for s in ups):
+                v1 = phi(m1)
+                if v1 + phi(m2) != min(phi(s) for s in ups):
                     ok = False
                 for k in (0, 1, 2, 3):
-                    if phi(m1.scale(k)) != k * phi(m1):
+                    if phi(m1.scale(k)) != k * v1:
                         ok = False
         details[str(n)] = {"functionals": len(functionals),
                            "pairs": len(pairs)}

@@ -101,11 +101,17 @@ def _require_family(ctx_params):
     return fam
 
 
-def _shift(poset):
+def _validated(poset):
+    """The diagnostics of a poset that passes validate; exit 2 otherwise."""
     diag = validate_poset(poset)
     if not diag.ok:
         raise click.UsageError("invalid poset: " + "; ".join(
             f"{code} ({message})" for code, message in diag.errors))
+    return diag
+
+
+def _shift(poset):
+    diag = _validated(poset)
     try:
         try:
             return choose_u(poset, graded=diag.graded)
@@ -230,10 +236,8 @@ def transfer(k, **params):
 def mutate(chart1, chart2, vector, **params):
     """Apply the chart-to-chart mutation to an integer vector."""
     poset, _ = _load_poset(params)
-    try:
-        lat = lattice.PolyptychLattice(poset)
-    except PosetError as exc:
-        raise click.UsageError(f"unsupported poset: {exc}")
+    _validated(poset)
+    lat = lattice.PolyptychLattice(poset)
     vec = _parse_vector(vector)
     if len(vec) != lat.dim:
         raise click.UsageError(f"vector needs {lat.dim} coordinates")

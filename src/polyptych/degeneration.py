@@ -175,7 +175,7 @@ def default_chart_valuation_spec(fam, chart):
     dim = len(fam.axis)
     signs = lattice.chart_sign_vector(fam, chart)
     for combo in combinations(range(len(duals)), dim):
-        determinant = geometry.det([duals[i].key() for i in combo])
+        determinant = geometry.det([duals[i].y for i in combo])
         if abs(determinant) == 1:
             chosen = [duals[i] for i in combo]
             if not all(lattice.dual_in_cone(fam, d, signs) for d in chosen):

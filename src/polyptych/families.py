@@ -72,6 +72,9 @@ class GTFamily:
         self.axis = self.poset.axis
         self._axis_index = {ij: self.poset.index(name)
                             for ij, name in self.positions.items()}
+        # axis index of each axis position's right neighbour (i, j+1), or None
+        self.right = tuple(self._axis_index.get((i, j + 1))
+                           for i, j in map(self.pos_of.get, self.axis))
         rows = {}
         for (i, j) in self.positions:
             rows.setdefault(i, []).append(j)

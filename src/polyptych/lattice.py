@@ -20,10 +20,6 @@ class AxiomFail(Exception):
     """A sampled functional violates the point axioms."""
 
 
-class EquationFail(Exception):
-    """A dual vector violates the defining min-equations."""
-
-
 class DualFail(Exception):
     """The strict dual pairing is inconsistent on a sample."""
 
@@ -144,12 +140,13 @@ def verify_point_axiom(lattice, phi, pairs, scalars=(0, 1, 2, 3)):
     """
     checked = 0
     for m1, m2 in pairs:
-        lhs = phi(m1) + phi(m2)
+        v1 = phi(m1)
+        lhs = v1 + phi(m2)
         rhs = min(phi(s) for s in lattice.upsilon(m1, m2))
         if lhs != rhs:
             raise AxiomFail(f"additivity: {m1}, {m2}: {lhs} != {rhs}")
         for k in scalars:
-            if phi(m1.scale(k)) != k * phi(m1):
+            if phi(m1.scale(k)) != k * v1:
                 raise AxiomFail(f"homogeneity: {m1}, k={k}")
         checked += 1
     return {"pairs": checked, "ok": True}
@@ -300,35 +297,31 @@ def gt_linearity_directions(fam):
 # dual lattice of the triangular families
 
 class DualElement:
-    """Element of the dual lattice: paired integer vectors (y, y') over the
-    unmarked grid positions, satisfying the triangular min-equations."""
+    """Element of the dual lattice: the integer vector y over the unmarked
+    grid positions, in axis order.  Its partner y' is solved from the
+    triangular min-equations, from the top row downwards:
+    y'_{i,j} = y_{i,j} - min(0, -y'_{i+1,j} + y_{i+1,j-1}) at the interior
+    positions and y'_{i,j} = y_{i,j} elsewhere."""
 
-    __slots__ = ("fam", "y", "yp", "_rows")
+    __slots__ = ("fam", "y", "yp", "rows")
 
-    def __init__(self, fam, y, yp):
+    def __init__(self, fam, y):
         self.fam = fam
-        self.y = dict(y)
-        self.yp = dict(yp)
-        self._rows = None  # compiled pairing rows, filled by eval_w
-
-    def key(self):
-        return tuple(self.y[ij] for ij in sorted(self.y))
-
-    def chart_vector(self, chart):
-        """Chart coordinate: y' at positions in the chart, y elsewhere."""
-        fam = self.fam
-        out = []
-        for name in fam.axis:
-            ij = fam.pos_of[name]
-            out.append(self.yp[ij] if name in chart else self.y[ij])
-        return tuple(out)
+        self.y = tuple(y)
+        yp = list(self.y)
+        for i, j in reversed(fam.pihat):
+            gap = _dual_gap(fam, self.y, yp, i, j)
+            yp[fam.axis_index(i, j)] -= min(0, gap)
+        self.yp = tuple(yp)
+        # the pairing rows eval_w reads: (axis index of (i,j), that of
+        # (i,j+1) or None, y, y')
+        self.rows = tuple(zip(range(len(yp)), fam.right, self.y, self.yp))
 
     def __eq__(self, other):
-        return (isinstance(other, DualElement)
-                and self.y == other.y and self.yp == other.yp)
+        return isinstance(other, DualElement) and self.y == other.y
 
     def __hash__(self):
-        return hash((tuple(sorted(self.y.items())),))
+        return hash(self.y)
 
     def __repr__(self):
         return f"DualElement(y={self.y})"
@@ -336,83 +329,47 @@ class DualElement:
 
 def _dual_gap(fam, y, yp, i, j):
     """The argument -y'_{i+1,j} + y_{i+1,j-1} of the min-equation at (i,j)."""
-    upper = yp[(i + 1, j)]
-    left = y.get((i + 1, j - 1), 0)
-    return -upper + left
+    left = fam._axis_index.get((i + 1, j - 1))
+    return -yp[fam.axis_index(i + 1, j)] + (0 if left is None else y[left])
 
 
-def dual_complete(fam, y):
-    """Solve the min-equations for y' given y, from the top row downwards."""
-    y = {ij: y[ij] for ij in fam.positions}
-    yp = {}
-    for (i, j) in sorted(fam.positions, key=lambda ij: (-ij[0], ij[1])):
-        if fam.in_pihat(i, j):
-            yp[(i, j)] = y[(i, j)] - min(0, _dual_gap(fam, y, yp, i, j))
-        else:
-            yp[(i, j)] = y[(i, j)]
-    return DualElement(fam, y, yp)
-
-
-def dual_validate(fam, dual):
-    for (i, j) in fam.positions:
-        expect = 0
-        if fam.in_pihat(i, j):
-            expect = min(0, _dual_gap(fam, dual.y, dual.yp, i, j))
-        if dual.y[(i, j)] - dual.yp[(i, j)] != expect:
-            raise EquationFail(f"min-equation violated at ({i},{j})")
-    return True
+def _row_tail(fam, i, j):
+    """Axis-ordered indicator of row i from column j on."""
+    return [int(k == i and l >= j) for k, l in map(fam.pos_of.get, fam.axis)]
 
 
 def dual_eps(fam, i, j):
     """Dual generator supported on rows i and i-1."""
-    y = {}
-    yp = {}
-    for (k, l) in fam.positions:
-        yv = ypv = 0
-        if k == i and l >= j:
-            yv = ypv = 1
-        elif k == i - 1 and l >= j:
-            yv = -1
-            ypv = -1 if l >= j + 1 else 0
-        y[(k, l)] = yv
-        yp[(k, l)] = ypv
-    d = DualElement(fam, y, yp)
-    dual_validate(fam, d)
-    return d
+    return DualElement(fam, (a - b for a, b in zip(
+        _row_tail(fam, i, j), _row_tail(fam, i - 1, j))))
 
 
 def dual_eps_prime(fam, i, j):
-    y = {(k, l): (-1 if k == i and l >= j else 0) for (k, l) in fam.positions}
-    d = DualElement(fam, y, dict(y))
-    dual_validate(fam, d)
-    return d
+    return DualElement(fam, (-a for a in _row_tail(fam, i, j)))
 
 
 def eval_w(fam, dual, x):
     """Pairing w(n)(m) via the telescoping row expansion of the chart-0
     coordinate of m: the coefficient of the row prefix sum through (i,j) is
-    x_{i,j} - x_{i,j+1}, paired with y (nonnegative side) or y' (negative).
-
-    The dual's rows (axis index of (i,j), that of (i,j+1) or None, y, y')
-    are compiled on its first evaluation."""
-    rows = dual._rows
-    if rows is None:
-        index = fam._axis_index
-        rows = dual._rows = tuple(
-            (index[ij], index.get((ij[0], ij[1] + 1)), dual.y[ij], dual.yp[ij])
-            for ij in fam.positions)
+    x_{i,j} - x_{i,j+1}, paired with y (nonnegative side) or y' (negative)."""
     total = 0
-    for k, right, y, yp in rows:
+    for k, right, y, yp in dual.rows:
         c = x[k] if right is None else x[k] - x[right]
         total += c * (y if c >= 0 else yp)
     return total
 
 
-def _dual_free_positions(fam):
-    """Grid positions whose dual generator sign is unconstrained: those not
-    sitting directly above an interior position."""
-    return sorted(ij for ij in fam.positions
-                  if (ij[0] - 1, ij[1]) not in fam.pihat)
+def _cone_generators(fam, signs):
+    """The generators of the dual cone with the given interior signs, as
+    (i, j, positive) for dual_eps(i, j) or dual_eps_prime(i, j): one above
+    each interior position, by its sign, then both at each position that
+    sits directly above no interior position."""
+    pihat = fam.pihat
+    gens = [(i + 1, j, signs[(i, j)] > 0) for (i, j) in pihat]
+    for (i, j) in sorted(fam.positions):
+        if (i - 1, j) not in pihat:
+            gens += [(i, j, True), (i, j, False)]
+    return gens
 
 
 def _linear_extension(rows, target):
@@ -446,21 +403,12 @@ def eval_v(fam, x, dual):
     """Pairing v(m)(n): locate the dual cone containing n, determine the
     linear functional of m on that cone from its generator values, and
     evaluate at the y-vector of n."""
-    rows = []
-    for (i, j) in fam.pihat:
-        if _dual_gap(fam, dual.y, dual.yp, i, j) <= 0:
-            g = dual_eps(fam, i + 1, j)
-            val = chart_coord(fam, x, i + 1, j)
-        else:
-            g = dual_eps_prime(fam, i + 1, j)
-            val = -fam.coord(x, i + 1, j)
-        rows.append((g.chart_vector(frozenset()), val))
-    for (i, j) in _dual_free_positions(fam):
-        rows.append((dual_eps(fam, i, j).chart_vector(frozenset()),
-                     chart_coord(fam, x, i, j)))
-        rows.append((dual_eps_prime(fam, i, j).chart_vector(frozenset()),
-                     -fam.coord(x, i, j)))
-    return _linear_extension(rows, dual.chart_vector(frozenset()))
+    signs = {(i, j): 1 if _dual_gap(fam, dual.y, dual.yp, i, j) <= 0 else -1
+             for (i, j) in fam.pihat}
+    rows = [(dual_eps(fam, i, j).y, chart_coord(fam, x, i, j)) if positive
+            else (dual_eps_prime(fam, i, j).y, -fam.coord(x, i, j))
+            for i, j, positive in _cone_generators(fam, signs)]
+    return _linear_extension(rows, dual.y)
 
 
 def chart_sign_vector(fam, chart):
@@ -473,17 +421,9 @@ def chart_sign_vector(fam, chart):
 def chart_cone_duals(fam, chart):
     """Generating dual elements of the cone matched to a chart: one signed
     generator per interior position, both signs at the free positions."""
-    signs = chart_sign_vector(fam, chart)
-    duals = []
-    for (i, j) in fam.pihat:
-        if signs[(i, j)] > 0:
-            duals.append(dual_eps(fam, i + 1, j))
-        else:
-            duals.append(dual_eps_prime(fam, i + 1, j))
-    for (i, j) in _dual_free_positions(fam):
-        duals.append(dual_eps(fam, i, j))
-        duals.append(dual_eps_prime(fam, i, j))
-    return duals
+    return [dual_eps(fam, i, j) if positive else dual_eps_prime(fam, i, j)
+            for i, j, positive in _cone_generators(
+                fam, chart_sign_vector(fam, chart))]
 
 
 def dual_in_cone(fam, dual, signs):
@@ -499,8 +439,8 @@ def dual_point(fam, dual):
 
 
 def random_dual(fam, rng, radius=4):
-    return dual_complete(
-        fam, {ij: rng.randint(-radius, radius) for ij in fam.positions})
+    y = {ij: rng.randint(-radius, radius) for ij in fam.positions}
+    return DualElement(fam, (y[fam.pos_of[name]] for name in fam.axis))
 
 
 def verify_strict_dual(fam, rng, pairs=500, chart_samples=50, radius=4):

@@ -63,9 +63,14 @@ class MarkedPoset:
 
     def __init__(self, elements, covers, marking):
         self.elements = tuple(sorted(elements))
+        if not self.elements:
+            raise PosetError("a marked poset needs at least one element")
         if len(set(self.elements)) != len(self.elements):
             raise PosetError("duplicate element names")
         self.covers = tuple(sorted((q, p) for q, p in covers))
+        for a, b in zip(self.covers, self.covers[1:]):
+            if a == b:
+                raise PosetError(f"repeated cover {a}")
         for q, p in self.covers:
             if q not in elements or p not in elements:
                 raise PosetError(f"cover ({q}, {p}) references unknown element")

@@ -251,3 +251,31 @@ def test_malformed_poset_keys_are_usage_errors(runner, tmp_path, extra,
     path = _poset_file(tmp_path, dict(CHAIN, **extra))
     result = runner.invoke(main, ["transfer", "--poset", path])
     assert_usage_error(result, *needles)
+
+
+def test_mutate_runs_the_validate_checks(runner, tmp_path):
+    # e0 and e1 are unmarked minimal elements
+    path = _poset_file(tmp_path, {
+        "elements": ["e0", "e1", "e2", "e3"],
+        "covers": [["e0", "e2"], ["e1", "e3"]], "marked": {"e3": -2}})
+    result = runner.invoke(main, ["mutate", "--vector", "1,0,2",
+                                  "--from-chart", "e0", "--poset", path])
+    assert_usage_error(result, "UNMARKED_EXTREME")
+
+
+@pytest.mark.parametrize("command", ["validate", "polytope", "transfer",
+                                     "hilbert"])
+def test_empty_poset_is_usage_error(runner, tmp_path, command):
+    path = _poset_file(tmp_path, {"elements": [], "covers": [],
+                                  "marked": {}})
+    result = runner.invoke(main, [command, "--poset", path])
+    assert_usage_error(result, "at least one element")
+
+
+@pytest.mark.parametrize("command", ["validate", "transfer", "classify"])
+def test_repeated_cover_is_usage_error(runner, tmp_path, command):
+    path = _poset_file(tmp_path, dict(
+        CHAIN, covers=[["a", "p"], ["a", "p"], ["p", "c"]],
+        marked={"a": 0, "c": 2}))
+    result = runner.invoke(main, [command, "--poset", path])
+    assert_usage_error(result, "repeated cover")

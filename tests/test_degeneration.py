@@ -40,8 +40,8 @@ def test_chart_valuation_spec_certificate(fam_A2):
         spec = degeneration.default_chart_valuation_spec(fam_A2, chart)
         assert abs(spec.certificate["determinant"]) == 1
         assert spec.certificate["in_cone"]
-        matrix = [[d.y[ij] for ij in sorted(fam_A2.positions)]
-                  for d in spec.rho]
+        matrix = [[d.y[fam_A2.axis_index(*ij)]
+                   for ij in sorted(fam_A2.positions)] for d in spec.rho]
         assert abs(geometry.det(matrix)) == 1
 
 

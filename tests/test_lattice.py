@@ -72,8 +72,9 @@ def test_pl_description_without_a_half_space_fails(fam_C2, monkeypatch,
 
 def test_dual_completion_determines_values(fam_C2, rng):
     d = lattice.random_dual(fam_C2, rng)
-    d2 = lattice.dual_complete(fam_C2, dict(d.y))
-    assert d2.key() == d.key()
+    d2 = lattice.DualElement(fam_C2, d.y)
+    assert (d2.y, d2.yp) == (d.y, d.yp)
+    assert d2 == d and hash(d2) == hash(d)
 
 
 def test_eval_w_linear_in_x(fam_C2, rng):
@@ -218,14 +219,18 @@ def eval_w_reference(fam, dual, x):
     total = 0
     for (i, j) in fam.positions:
         c = fam.coord(x, i, j) - fam.coord(x, i, j + 1)
-        total += c * (dual.y[(i, j)] if c >= 0 else dual.yp[(i, j)])
+        k = fam.axis_index(i, j)
+        total += c * (dual.y[k] if c >= 0 else dual.yp[k])
     return total
 
 
-@pytest.mark.parametrize("fam", [
+FAMILIES = pytest.mark.parametrize("fam", [
     GTFamily("A", 2, (0, 2, 4)), GTFamily("C", 2, (2, 4)),
     GTFamily("A", 3, (0, 1, 3, 5)), GTFamily("C", 3, (2, 4, 6))],
     ids=["A2", "C2", "A3", "C3"])
+
+
+@FAMILIES
 def test_eval_w_matches_row_expansion(fam):
     rng = random.Random(5)
     index = fam._axis_index
@@ -246,3 +251,51 @@ def test_eval_w_matches_row_expansion(fam):
             assert (lattice.eval_w(fam, dual, x)
                     == eval_w_reference(fam, dual, x))
     assert ties > 0
+
+
+# ---------------------------------------------------------------------------
+# the y' solver of DualElement against the min-equations and the closed forms
+
+def by_position(fam, vec):
+    return {fam.pos_of[name]: v for name, v in zip(fam.axis, vec)}
+
+
+def eps_closed_form(fam, i, j):
+    """(y, y') of the generator on rows i and i-1, written out."""
+    y, yp = {}, {}
+    for (k, l) in fam.positions:
+        y[(k, l)] = yp[(k, l)] = 0
+        if k == i and l >= j:
+            y[(k, l)] = yp[(k, l)] = 1
+        elif k == i - 1 and l >= j:
+            y[(k, l)] = -1
+            yp[(k, l)] = -1 if l >= j + 1 else 0
+    return y, yp
+
+
+def eps_prime_closed_form(fam, i, j):
+    y = {(k, l): -1 if k == i and l >= j else 0 for (k, l) in fam.positions}
+    return y, dict(y)
+
+
+@FAMILIES
+def test_dual_generators_match_closed_form(fam):
+    for (i, j) in fam.positions:
+        for build, closed in ((lattice.dual_eps, eps_closed_form),
+                              (lattice.dual_eps_prime, eps_prime_closed_form)):
+            d = build(fam, i, j)
+            assert (by_position(fam, d.y), by_position(fam, d.yp)) == closed(
+                fam, i, j), (build.__name__, i, j)
+
+
+@FAMILIES
+def test_random_duals_satisfy_min_equations(fam):
+    rng = random.Random(7)
+    for _ in range(40):
+        d = lattice.random_dual(fam, rng)
+        y, yp = by_position(fam, d.y), by_position(fam, d.yp)
+        for (i, j) in fam.positions:
+            expect = 0
+            if (i + 1, j) in fam.positions:
+                expect = min(0, -yp[(i + 1, j)] + y.get((i + 1, j - 1), 0))
+            assert y[(i, j)] - yp[(i, j)] == expect, (i, j)

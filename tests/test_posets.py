@@ -92,6 +92,17 @@ def test_constructor_rejects_non_integer_marking(value):
                     {"a": 0, "c": value})
 
 
+def test_constructor_rejects_a_repeated_cover():
+    with pytest.raises(PosetError, match=r"repeated cover \('a', 'p'\)"):
+        MarkedPoset(["a", "p", "c"], [("a", "p"), ("p", "c"), ("a", "p")],
+                    {"a": 0, "c": 2})
+
+
+def test_constructor_rejects_an_empty_poset():
+    with pytest.raises(PosetError, match="at least one element"):
+        MarkedPoset([], [], {})
+
+
 def test_graded_structure_ranks():
     g = graded_structure(chain_poset(2, 0, 4))
     assert g.rank["bot"] == 0 and g.rank["top"] == g.max_rank
