@@ -163,22 +163,19 @@ def criterion_7(rng, cfg):
     details = {}
     for fam in (_fam_C2(), _fam_A2()):
         poset = fam.poset
-        classification = classify_spade(poset)
-        tails = algebra.build_relations(poset, classification)
+        tails = algebra.build_relations(poset)
         lat = lattice.PolyptychLattice(poset)
         rep = algebra.verify_valuation(fam, rng, samples=cfg["c7_pairs"],
                                        mode="EXACT")
         star_ok = True
         for (i, j), name in sorted(fam.positions.items()):
-            nx = algebra.valuation({algebra.x_var(name): Fraction(1)},
-                                   lat, classification)
-            ny = algebra.valuation({algebra.y_var(name): Fraction(1)},
-                                   lat, classification)
+            nx = algebra.valuation({algebra.x_var(name): Fraction(1)}, lat)
+            ny = algebra.valuation({algebra.y_var(name): Fraction(1)}, lat)
             lhs = semialgebra.star(nx, ny)
             one_plus_tail = algebra.add(
                 {algebra.ONE: Fraction(1)},
                 algebra.tail_element(tails[name]))
-            rhs = algebra.valuation(one_plus_tail, lat, classification)
+            rhs = algebra.valuation(one_plus_tail, lat)
             if not semialgebra.equal_exact(fam, lhs, rhs):
                 star_ok = False
         details[fam.family] = {"pairs": rep["pairs"], "star_ok": star_ok}
@@ -188,9 +185,7 @@ def criterion_7(rng, cfg):
 
 
 def criterion_8(rng, cfg):
-    fam = _fam_C2()
-    poset = fam.poset
-    classification = classify_spade(poset)
+    poset = _fam_C2().poset
     from itertools import product
     images = set()
     count = 0
@@ -202,7 +197,7 @@ def criterion_8(rng, cfg):
                              repeat=len(poset.axis)):
             m = algebra.mono({p: (max(c, 0), max(-c, 0))
                               for p, c in zip(poset.axis, combo)})
-            images.add(algebra.monomial_to_m(poset, classification, m))
+            images.add(algebra.monomial_to_m(poset, m))
             count += 1
         injective = injective and len(images) == count
     surjective = all(

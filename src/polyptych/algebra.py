@@ -1,7 +1,8 @@
 """Quotient algebra attached to a classified marked poset: one relation
 X_p Y_p = 1 + tail per unmarked element, a standard-monomial normal form,
 the induced valuation into the semialgebra, and the exact Jacobian rank
-at variety points.
+at variety points.  The relation tails and the adapted basis are built
+once per poset and kept on it.
 
 Monomials are sparse maps p -> (a_p, b_p) of nonnegative X/Y exponents,
 canonically keyed by sorted element name; elements are sparse maps from
@@ -75,27 +76,29 @@ def add(f, g):
 # ---------------------------------------------------------------------------
 # relations
 
-def build_relations(poset, classification=None):
+def build_relations(poset):
     """Tail term of each relation X_p Y_p - 1 - tail, from the level
     component structure: the element above p in its zigzag contributes
     Y (and an extra X when that upper element continues a zigzag one
-    level up at an interior position)."""
-    classification = classification or classify_spade(poset)
-    tails = {}
-    for p in poset.axis:
-        idx, k = classification.lower_pos[p]
-        comp = classification.components[idx]
-        if k > comp.n_c:
-            tails[p] = None
-            continue
-        q = comp.upper[k - 1]
-        idx2, k2 = classification.lower_pos[q]
-        comp2 = classification.components[idx2]
-        if 2 <= k2 <= comp2.n_c + 1:
-            tails[p] = ("XY", comp2.lower[k2 - 2], q)
-        else:
-            tails[p] = ("Y", q)
-    return tails
+    level up at an interior position).  Built once per poset."""
+    if poset._relations is None:
+        classification = classify_spade(poset)
+        tails = {}
+        for p in poset.axis:
+            idx, k = classification.lower_pos[p]
+            comp = classification.components[idx]
+            if k > comp.n_c:
+                tails[p] = None
+                continue
+            q = comp.upper[k - 1]
+            idx2, k2 = classification.lower_pos[q]
+            comp2 = classification.components[idx2]
+            if 2 <= k2 <= comp2.n_c + 1:
+                tails[p] = ("XY", comp2.lower[k2 - 2], q)
+            else:
+                tails[p] = ("Y", q)
+        poset._relations = tails
+    return poset._relations
 
 
 def tail_element(tail):
@@ -106,7 +109,7 @@ def tail_element(tail):
     return {mono_mul(x_var(tail[1]), y_var(tail[2])): Fraction(1)}
 
 
-def normal_form(f, tails, rank=None):
+def normal_form(f, tails):
     """Rewrite X_p Y_p -> 1 + tail until all monomials are standard.
 
     Tails only mention strictly higher-rank variables, so the rewriting
@@ -143,67 +146,56 @@ def multiply(f, g, tails):
 # ---------------------------------------------------------------------------
 # standard monomials <-> lattice elements
 
-def _zigzag_prefix(classification, p):
-    """The lower elements p_1..p_k of p's component when p sits at an
-    interior or end position of a genuine zigzag; None otherwise."""
-    idx, k = classification.lower_pos[p]
-    comp = classification.components[idx]
-    if comp.n_c == 0:
-        return None
-    return comp.lower[:k]
+def _adapted_basis(poset):
+    """The adapted basis, built once per poset: for each unmarked p, the
+    axis indices where the basis vector hat_e_p is 1, and the axis index
+    of the element after p in its zigzag's lower row (None at the end of
+    the row, before a marked element, or away from zigzags).  Away from
+    zigzags hat_e_p is the unit vector of p; inside the zigzag
+    p_1, ..., p_k = p, ... it is the prefix sum e_{p_1} + ... + e_{p_k}."""
+    if poset._basis is None:
+        classification = classify_spade(poset)
+        index = poset.index
+        basis = {}
+        for p in poset.axis:
+            idx, k = classification.lower_pos[p]
+            comp = classification.components[idx]
+            if comp.n_c == 0:
+                basis[p] = ((index(p),), None)
+                continue
+            nxt = comp.lower[k] if k < len(comp.lower) else None
+            basis[p] = (tuple(map(index, comp.lower[:k])),
+                        index(nxt) if nxt in poset.axis else None)
+        poset._basis = basis
+    return poset._basis
 
 
-def hat_e(poset, classification, p):
-    """Adapted basis vector: the plain unit vector away from zigzags, the
-    prefix sum of the component's lower row inside one."""
-    axis = poset.axis
-    vec = [0] * len(axis)
-    prefix = _zigzag_prefix(classification, p)
-    if prefix is None:
-        vec[poset.index(p)] = 1
-    else:
-        for q in prefix:
-            vec[poset.index(q)] = 1
-    return tuple(vec)
-
-
-def monomial_to_m(poset, classification, m):
+def monomial_to_m(poset, m):
     """Chart-0 coordinate of the lattice element attached to a standard
     monomial: the signed exponent sum over the adapted basis."""
-    axis = poset.axis
-    total = [0] * len(axis)
+    basis = _adapted_basis(poset)
+    total = [0] * len(poset.axis)
     for p, a, b in m:
-        he = hat_e(poset, classification, p)
-        for i, v in enumerate(he):
-            total[i] += (a - b) * v
+        for i in basis[p][0]:
+            total[i] += a - b
     return tuple(total)
 
 
-def m_to_monomial(poset, classification, vec):
-    """Inverse of monomial_to_m on chart-0 coordinates (exact, triangular)."""
-    axis = poset.axis
-    coeff = {}
-    for p in axis:
-        idx, k = classification.lower_pos[p]
-        comp = classification.components[idx]
-        if comp.n_c == 0:
-            coeff[p] = vec[poset.index(p)]
-            continue
-        nxt = comp.lower[k] if k < len(comp.lower) else None
-        here = vec[poset.index(p)]
-        there = vec[poset.index(nxt)] if nxt in poset.axis else 0
-        coeff[p] = here - there
+def m_to_monomial(poset, vec):
+    """Inverse of monomial_to_m on chart-0 coordinates (exact, triangular):
+    the exponent of p is its coordinate minus that of the next element."""
+    coeff = {p: vec[poset.index(p)] - (0 if nxt is None else vec[nxt])
+             for p, (_, nxt) in _adapted_basis(poset).items()}
     return mono({p: (max(c, 0), max(-c, 0)) for p, c in coeff.items()})
 
 
 # ---------------------------------------------------------------------------
 # valuation
 
-def valuation(f, lat, classification):
+def valuation(f, lat):
     if not f:
         return semialgebra.INFINITY
-    gens = [lat.element(monomial_to_m(lat.poset, classification, m))
-            for m in f]
+    gens = [lat.element(monomial_to_m(lat.poset, m)) for m in f]
     return semialgebra.SemialgebraElement(lat, gens)
 
 
@@ -221,8 +213,7 @@ def random_sparse(rng, poset, terms=2, max_exp=2):
 def verify_valuation(fam, rng, samples=100, mode="EXACT"):
     """Multiplicativity of the valuation on seeded sparse pairs."""
     poset = fam.poset
-    classification = classify_spade(poset)
-    tails = build_relations(poset, classification)
+    tails = build_relations(poset)
     lat = lattice.PolyptychLattice(poset)
     functionals = None
     if mode == "SAMPLED":
@@ -233,9 +224,8 @@ def verify_valuation(fam, rng, samples=100, mode="EXACT"):
         g = normal_form(random_sparse(rng, poset), tails)
         if not f or not g:
             continue
-        lhs = valuation(multiply(f, g, tails), lat, classification)
-        rhs = semialgebra.star(valuation(f, lat, classification),
-                               valuation(g, lat, classification))
+        lhs = valuation(multiply(f, g, tails), lat)
+        rhs = semialgebra.star(valuation(f, lat), valuation(g, lat))
         same = semialgebra.equal(lhs, rhs, mode=mode, fam=fam,
                                  functionals=functionals)
         if not same:

@@ -50,6 +50,8 @@ def _parse_chart(text, poset):
 
 
 def _parse_vector(text):
+    if not text:
+        return ()
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -102,21 +104,20 @@ def _require_family(ctx_params):
 
 
 def _validated(poset):
-    """The diagnostics of a poset that passes validate; exit 2 otherwise."""
+    """Exit 2, listing the error codes, on a poset that fails validate."""
     diag = validate_poset(poset)
     if not diag.ok:
         raise click.UsageError("invalid poset: " + "; ".join(
             f"{code} ({message})" for code, message in diag.errors))
-    return diag
 
 
 def _shift(poset):
-    diag = _validated(poset)
+    _validated(poset)
     try:
         try:
-            return choose_u(poset, graded=diag.graded)
+            return choose_u(poset)
         except NoInteriorU:
-            return choose_u(poset, strict=False, graded=diag.graded)
+            return choose_u(poset, strict=False)
     except PosetError as exc:
         raise click.UsageError(f"unsupported poset: {exc}")
 
@@ -212,7 +213,7 @@ def polytope(chart, k, **params):
     points = mco.lattice_points_of_hat_delta(poset, u, chart, k)
     _emit({"command": "polytope", "chart": mco.chart_str(chart), "k": k,
            "u": dict(sorted(u.u.items())),
-           "hrep": hd.hrep.dilate(k).to_json(),
+           "hrep": hd.dilate(k).to_json(),
            "lattice_points": len(points)})
 
 
@@ -255,11 +256,10 @@ def hilbert(kmax, **params):
     poset, _ = _load_poset(params)
     u = _shift(poset)
     try:
-        classification = classify_spade(poset)
+        classify_spade(poset)
     except PosetError as exc:
         raise click.UsageError(f"unsupported poset: {exc}")
-    rep = degeneration.hilbert_vs_ehrhart(poset, u, kmax,
-                                          classification=classification)
+    rep = degeneration.hilbert_vs_ehrhart(poset, u, kmax)
     _emit({"command": "hilbert", "kmax": kmax, "report": rep},
           ok=rep["ok"])
 

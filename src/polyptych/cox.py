@@ -32,12 +32,11 @@ class CoxCounts:
     per_level: dict
 
 
-def cox_counts(poset, classification=None):
+def cox_counts(poset):
     """U = number of fully-unmarked zigzag components per level, summed;
     L = one boundary divisor per structural point; variables = d - U + L."""
-    classification = classification or classify_spade(poset)
     per_level = {}
-    for comp in classification.components:
+    for comp in classify_spade(poset).components:
         if comp.counts_as_unmarked_zigzag:
             per_level[comp.level] = per_level.get(comp.level, 0) + 1
     U = sum(per_level.values())
@@ -102,7 +101,7 @@ def generator_vectors(fam, eps, points):
     for k, pt in enumerate(points):
         gens.append((f"e_{divisor_label(pt)}", _xvec(fam, []),
                      _rvec(fam, points, [(k, 1)])))
-    for s, (i, j) in enumerate(sorted(fam.units), start=1):
+    for s, (i, j) in enumerate(fam.units, start=1):
         x = _xvec(fam, [((i, l), 1) for (i, l) in _row_positions(fam, i, j)])
         r = _rvec(fam, points,
                   [((i, l), -1) for (i, l) in _row_positions(fam, i, j)]
@@ -111,7 +110,7 @@ def generator_vectors(fam, eps, points):
                   + [(_corner_index(fam, points, i, j), 1)])
         gens.append((f"v_{s}", x, r))
         gens.append((f"-v_{s}", [-c for c in x], [-c for c in r]))
-    for (i, j) in sorted(fam.pihat):
+    for (i, j) in fam.pihat:
         e = eps[(i, j)]
         row = _row_positions(fam, i, j)
         if e == 1:
@@ -138,11 +137,11 @@ def gamma_matrix(fam, eps, points):
     L = len(points)
     above = {fam.positions[(i + 1, j)]: (i, j) for (i, j) in fam.pihat}
     rows = []
-    for (i, j) in sorted(fam.pihat):
+    for (i, j) in fam.pihat:
         e = eps[(i, j)]
         row = _xvec(fam, [((i, j), e), ((i, j + 1), -e)])
         rows.append(row + [0] * L)
-    for (i, j) in sorted(fam.pihat):
+    for (i, j) in fam.pihat:
         e = eps[(i, j)]
         lower = (i, j) if e == 1 else (i, j + 1)
         row = _xvec(fam, [((i + 1, j), 1), (lower, -1)])
@@ -171,7 +170,7 @@ def gamma_matrix(fam, eps, points):
         rrow = [0] * L
         rrow[k] = 1
         rows.append(row + rrow)
-    for (i, j) in sorted(fam.units):
+    for (i, j) in fam.units:
         row = [0] * d
         row[fam.axis_index(i, j)] = 1
         rows.append(row + [0] * L)
@@ -232,9 +231,8 @@ def _image_support(matrix, vec):
 
 def all_sign_vectors(fam):
     from itertools import product
-    keys = sorted(fam.pihat)
-    return [dict(zip(keys, combo))
-            for combo in product((1, -1), repeat=len(keys))]
+    return [dict(zip(fam.pihat, combo))
+            for combo in product((1, -1), repeat=len(fam.pihat))]
 
 
 def verify_f_pair_identity(fam):
@@ -273,8 +271,7 @@ def cox_presentation(fam):
     eliminated ring keeps the W's, all Z's, and the t's of elements not
     sitting above an interior position."""
     poset = fam.poset
-    classification = classify_spade(poset)
-    tails = algebra.build_relations(poset, classification)
+    tails = algebra.build_relations(poset)
     interior = sorted(fam.positions[ij] for ij in fam.pihat)
     relations = []
     eliminated = set()
@@ -308,7 +305,7 @@ def eta_unit_check(fam):
     lat = lattice.PolyptychLattice(fam.poset)
     report = {"divisor_layout": [divisor_label(pt) for pt in points],
               "units": [], "ok": True}
-    for s, (i, j) in enumerate(sorted(fam.units), start=1):
+    for s, (i, j) in enumerate(fam.units, start=1):
         m = lat.element(fam.eps_leq(i, j))
         corner = _corner_index(fam, points, i, j)
         pattern = {}

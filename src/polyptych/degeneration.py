@@ -14,7 +14,6 @@ from operator import itemgetter, mul, sub
 
 from . import algebra, geometry, lattice, mco, semialgebra
 from .geometry import UnimodularityFail
-from .posets import classify_spade
 
 
 class OrdFail(Exception):
@@ -31,29 +30,25 @@ class GradedPiece:
         return len(self.basis)
 
 
-def gamma(poset, u, k, classification=None):
+def gamma(poset, u, k):
     """Degree-k graded piece: the standard monomials whose lattice element
     lies in the k-dilated centered polytope.  Membership is decided in
     chart 0, where the adapted-basis bijection identifies standard
     monomials with integer vectors."""
-    classification = classification or classify_spade(poset)
     points = mco.lattice_points_of_hat_delta(poset, u, frozenset(), k)
-    basis = sorted(algebra.m_to_monomial(poset, classification, z)
-                   for z in points)
+    basis = sorted(algebra.m_to_monomial(poset, z) for z in points)
     return GradedPiece(k, tuple(basis))
 
 
-def hilbert_vs_ehrhart(poset, u, kmax, generation_kmax=2,
-                       classification=None):
+def hilbert_vs_ehrhart(poset, u, kmax, generation_kmax=2):
     """Per degree k <= kmax: the graded dimension against the lattice-point
     count of every chart polytope; plus the degree-1 generation shadow at
     small k."""
-    classification = classification or classify_spade(poset)
-    tails = algebra.build_relations(poset, classification)
+    tails = algebra.build_relations(poset)
     report = {"kmax": kmax, "rows": [], "ok": True, "generation": []}
     pieces = {}
     for k in range(kmax + 1):
-        piece = gamma(poset, u, k, classification)
+        piece = gamma(poset, u, k)
         pieces[k] = piece
         counts = {}
         for chart in mco.charts_of(poset):
@@ -64,23 +59,22 @@ def hilbert_vs_ehrhart(poset, u, kmax, generation_kmax=2,
                                "chart_counts": counts, "agree": agree})
         report["ok"] = report["ok"] and agree
     for k in range(2, min(kmax, generation_kmax) + 1):
-        gap = _generation_gap(poset, classification, tails, u, pieces, k)
+        gap = _generation_gap(poset, tails, u, pieces, k)
         report["generation"].append({"k": k, "gap": [str(g) for g in gap]})
         if gap:
             report["ok"] = False
     return report
 
 
-def _generation_gap(poset, classification, tails, u, pieces, k):
+def _generation_gap(poset, tails, u, pieces, k):
     """Degree-k basis monomials not reached as a normal-form summand of a
     product of k degree-1 basis monomials (expected empty)."""
-    deg1 = {algebra.monomial_to_m(poset, classification, b): b
-            for b in pieces[1].basis}
+    deg1 = {algebra.monomial_to_m(poset, b): b for b in pieces[1].basis}
     points = sorted(deg1)
     bounds = _remainder_bounds(poset, u, k)
     missing = []
     for b in pieces[k].basis:
-        z = algebra.monomial_to_m(poset, classification, b)
+        z = algebra.monomial_to_m(poset, b)
         if not _reachable(tails, bounds, deg1, points, b, z, k):
             missing.append(b)
     return missing
@@ -90,7 +84,7 @@ def _remainder_bounds(poset, u, k):
     """Per d = 2 .. k-1, integer rows (a, c) with a.x >= c on exactly the
     integer points of the d-fold dilated chart-0 polytope: a is integer, so
     a.x >= d*b and a.x >= ceil(d*b) agree on integer x."""
-    rows = mco.hat_delta(poset, u, frozenset()).hrep.rows
+    rows = mco.hat_delta(poset, u, frozenset()).rows
     return {d: [(a, math.ceil(d * b)) for a, b in rows]
             for d in range(2, k)}
 
@@ -141,13 +135,12 @@ def _decompositions(bounds, deg1, points, z, k, limit=40):
     return out
 
 
-def verify_semigroup_property(poset, u, k1, k2, classification=None):
+def verify_semigroup_property(poset, u, k1, k2):
     """Products of basis elements of degrees k1, k2 land in degree k1+k2."""
-    classification = classification or classify_spade(poset)
-    tails = algebra.build_relations(poset, classification)
-    p1 = gamma(poset, u, k1, classification)
-    p2 = gamma(poset, u, k2, classification)
-    target = set(gamma(poset, u, k1 + k2, classification).basis)
+    tails = algebra.build_relations(poset)
+    p1 = gamma(poset, u, k1)
+    p2 = gamma(poset, u, k2)
+    target = set(gamma(poset, u, k1 + k2).basis)
     for b1 in p1.basis:
         for b2 in p2.basis:
             prod = algebra.multiply({b1: Fraction(1)}, {b2: Fraction(1)},
@@ -193,31 +186,25 @@ def rho_value(fam, spec, m):
     return tuple(lattice.eval_w(fam, d, m.coord0) for d in spec.rho)
 
 
-def chart_valuation(fam, spec, f, k, lat=None, classification=None):
+def chart_valuation(fam, spec, f, k):
     """v(f t^k): lexicographic minimum of the rho-values over the valuation
     generators of f, paired with the degree."""
-    lat = lat or lattice.PolyptychLattice(fam.poset)
-    classification = classification or classify_spade(fam.poset)
-    nu = algebra.valuation(f, lat, classification)
+    nu = algebra.valuation(f, lattice.PolyptychLattice(fam.poset))
     if nu is semialgebra.INFINITY:
         return None
     return (min(rho_value(fam, spec, m) for m in nu.gens), k)
 
 
-def no_body_sample(fam, u, spec, kmax, classification=None):
+def no_body_sample(fam, u, spec, kmax):
     """Degree-normalized value sets against the chart polytope's lattice
     points under the rho identification, per degree k <= kmax."""
-    classification = classification or classify_spade(fam.poset)
     lat = lattice.PolyptychLattice(fam.poset)
     covs = semialgebra.chart_covectors(fam, spec.chart, spec.rho)
     report = {"chart": mco.chart_str(spec.chart), "levels": [], "ok": True}
     for k in range(kmax + 1):
-        piece = gamma(fam.poset, u, k, classification)
-        values = set()
-        for b in piece.basis:
-            m = lat.element(algebra.monomial_to_m(fam.poset, classification,
-                                                  b))
-            values.add(rho_value(fam, spec, m))
+        piece = gamma(fam.poset, u, k)
+        values = {rho_value(fam, spec, lat.element(
+            algebra.monomial_to_m(fam.poset, b))) for b in piece.basis}
         points = mco.lattice_points_of_hat_delta(fam.poset, u, spec.chart, k)
         images = {tuple(sum(c * z for c, z in zip(cov, p)) for cov in covs)
                   for p in points}
@@ -228,13 +215,10 @@ def no_body_sample(fam, u, spec, kmax, classification=None):
     return report
 
 
-def verify_chart_valuation_additive(fam, spec, rng, samples=50,
-                                    classification=None):
+def verify_chart_valuation_additive(fam, spec, rng, samples=50):
     """v(fg) = v(f) + v(g) on sampled pairs whose valuations have one-term
     hulls; larger hulls are recorded as superadditive observations."""
-    classification = classification or classify_spade(fam.poset)
-    tails = algebra.build_relations(fam.poset, classification)
-    lat = lattice.PolyptychLattice(fam.poset)
+    tails = algebra.build_relations(fam.poset)
     report = {"additive_pairs": 0, "observed_pairs": 0, "ok": True}
     for idx in range(samples):
         terms = 1 if idx % 2 == 0 else 2
@@ -244,11 +228,9 @@ def verify_chart_valuation_additive(fam, spec, rng, samples=50,
             algebra.random_sparse(rng, fam.poset, terms=terms), tails)
         if not f or not g:
             continue
-        vf = chart_valuation(fam, spec, f, 1, lat, classification)
-        vg = chart_valuation(fam, spec, g, 1, lat, classification)
-        vfg = chart_valuation(fam, spec,
-                              algebra.multiply(f, g, tails), 2, lat,
-                              classification)
+        vf = chart_valuation(fam, spec, f, 1)
+        vg = chart_valuation(fam, spec, g, 1)
+        vfg = chart_valuation(fam, spec, algebra.multiply(f, g, tails), 2)
         one_term = len(f) == 1 and len(g) == 1
         expected = tuple(a + b for a, b in zip(vf[0], vg[0]))
         if one_term:
@@ -268,11 +250,10 @@ def ord_along(phi, nu):
     return min(phi(m) for m in nu.gens)
 
 
-def ord_divisor_check(fam, rng, samples=100, classification=None):
+def ord_divisor_check(fam, rng, samples=100):
     """Additivity ord(fg) = ord(f) + ord(g) for every structural-point
     functional, on seeded normal-form pairs."""
-    classification = classification or classify_spade(fam.poset)
-    tails = algebra.build_relations(fam.poset, classification)
+    tails = algebra.build_relations(fam.poset)
     lat = lattice.PolyptychLattice(fam.poset)
     points = lattice.structural_points(fam.poset)
     checked = 0
@@ -281,10 +262,9 @@ def ord_divisor_check(fam, rng, samples=100, classification=None):
         g = algebra.normal_form(algebra.random_sparse(rng, fam.poset), tails)
         if not f or not g:
             continue
-        nf = algebra.valuation(f, lat, classification)
-        ng = algebra.valuation(g, lat, classification)
-        nfg = algebra.valuation(algebra.multiply(f, g, tails), lat,
-                                classification)
+        nf = algebra.valuation(f, lat)
+        ng = algebra.valuation(g, lat)
+        nfg = algebra.valuation(algebra.multiply(f, g, tails), lat)
         for phi in points:
             if ord_along(phi, nfg) != ord_along(phi, nf) + ord_along(phi, ng):
                 raise OrdFail(

@@ -79,7 +79,13 @@ class GTFamily:
         for (i, j) in self.positions:
             rows.setdefault(i, []).append(j)
         self.rows = {i: sorted(js) for i, js in rows.items()}
+        # interior positions: both q_{i,j} and q_{i+1,j} are unmarked; the
+        # other unmarked positions are the units (expected (2s-1, n+1-s))
+        self.pihat = tuple(ij for ij in sorted(self.positions)
+                           if (ij[0] + 1, ij[1]) in self.positions)
+        self.units = tuple(sorted(set(self.positions) - set(self.pihat)))
         self._dual_cones = None  # K-dual per cone chart, filled by semialgebra
+        self._dual_generators = None  # generator y-vectors, filled by lattice
 
     # -- grid helpers -------------------------------------------------------
 
@@ -91,19 +97,6 @@ class GTFamily:
 
     def row_end(self, i):
         return self.rows[i][-1]
-
-    def in_pihat(self, i, j):
-        """Interior positions: both q_{i,j} and q_{i+1,j} are unmarked."""
-        return (i, j) in self.positions and (i + 1, j) in self.positions
-
-    @property
-    def pihat(self):
-        return sorted(ij for ij in self.positions if self.in_pihat(*ij))
-
-    @property
-    def units(self):
-        """Unmarked positions whose variable is a unit (expected (2s-1, n+1-s))."""
-        return sorted(ij for ij in self.positions if not self.in_pihat(*ij))
 
     # -- vectors over the unmarked axis ------------------------------------
 

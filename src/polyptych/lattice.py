@@ -60,8 +60,8 @@ class MElement:
 
 class PolyptychLattice:
     def __init__(self, poset):
+        graded_structure(poset)  # raises NotGraded on a non-graded poset
         self.poset = poset
-        self.graded = graded_structure(poset)
         self.axis = poset.axis
         self.dim = len(poset.axis)
 
@@ -132,8 +132,9 @@ def structural_points(poset):
     return points
 
 
-def verify_point_axiom(lattice, phi, pairs, scalars=(0, 1, 2, 3)):
-    """Exact check of min-additivity across charts and positive homogeneity.
+def verify_point_axiom(lattice, phi, pairs):
+    """Exact check of min-additivity across charts and positive homogeneity
+    (at the scalars 0, 1, 2, 3).
 
     ``pairs`` is an iterable of (m1, m2) MElement pairs.  Returns a report;
     raises AxiomFail with a witness on the first violation.
@@ -145,7 +146,7 @@ def verify_point_axiom(lattice, phi, pairs, scalars=(0, 1, 2, 3)):
         rhs = min(phi(s) for s in lattice.upsilon(m1, m2))
         if lhs != rhs:
             raise AxiomFail(f"additivity: {m1}, {m2}: {lhs} != {rhs}")
-        for k in scalars:
+        for k in (0, 1, 2, 3):
             if phi(m1.scale(k)) != k * v1:
                 raise AxiomFail(f"homogeneity: {m1}, k={k}")
         checked += 1
@@ -218,7 +219,7 @@ def verify_pl_description(lattice, u, sample_vectors=()):
     poset = lattice.poset
     report = {"charts": {}, "ok": True}
     pl0 = pl_hat_delta_hrep0(poset, u)
-    direct0 = mco.hat_delta(poset, u, frozenset()).hrep
+    direct0 = mco.hat_delta(poset, u, frozenset())
     ok0 = geometry.polyhedron_equal(pl0, direct0)
     report["charts"][""] = {"mode": "exact", "match": ok0}
     report["ok"] = ok0
@@ -233,7 +234,7 @@ def verify_pl_description(lattice, u, sample_vectors=()):
     for chart in lattice.charts():
         if not chart:
             continue
-        hrep = mco.hat_delta(poset, u, chart).hrep
+        hrep = mco.hat_delta(poset, u, chart)
         ok = all(member(m) == hrep.contains(m.chart(chart)) for m in probes)
         report["charts"][mco.chart_str(chart)] = {
             "mode": "pointwise", "probes": len(probes), "match": ok}
@@ -338,14 +339,28 @@ def _row_tail(fam, i, j):
     return [int(k == i and l >= j) for k, l in map(fam.pos_of.get, fam.axis)]
 
 
+def _generator_ys(fam):
+    """The y-vectors of the 2 * dim dual generators, built once per family:
+    (i, j, True) -> dual_eps(i, j), supported on rows i and i-1, and
+    (i, j, False) -> dual_eps_prime(i, j), minus row i from column j on."""
+    if fam._dual_generators is None:
+        table = {}
+        for i, j in fam.positions:
+            tail = _row_tail(fam, i, j)
+            table[(i, j, True)] = tuple(
+                a - b for a, b in zip(tail, _row_tail(fam, i - 1, j)))
+            table[(i, j, False)] = tuple(-a for a in tail)
+        fam._dual_generators = table
+    return fam._dual_generators
+
+
 def dual_eps(fam, i, j):
     """Dual generator supported on rows i and i-1."""
-    return DualElement(fam, (a - b for a, b in zip(
-        _row_tail(fam, i, j), _row_tail(fam, i - 1, j))))
+    return DualElement(fam, _generator_ys(fam)[(i, j, True)])
 
 
 def dual_eps_prime(fam, i, j):
-    return DualElement(fam, (-a for a in _row_tail(fam, i, j)))
+    return DualElement(fam, _generator_ys(fam)[(i, j, False)])
 
 
 def eval_w(fam, dual, x):
@@ -405,8 +420,9 @@ def eval_v(fam, x, dual):
     evaluate at the y-vector of n."""
     signs = {(i, j): 1 if _dual_gap(fam, dual.y, dual.yp, i, j) <= 0 else -1
              for (i, j) in fam.pihat}
-    rows = [(dual_eps(fam, i, j).y, chart_coord(fam, x, i, j)) if positive
-            else (dual_eps_prime(fam, i, j).y, -fam.coord(x, i, j))
+    ys = _generator_ys(fam)
+    rows = [(ys[(i, j, positive)], chart_coord(fam, x, i, j) if positive
+             else -fam.coord(x, i, j))
             for i, j, positive in _cone_generators(fam, signs)]
     return _linear_extension(rows, dual.y)
 
@@ -438,12 +454,13 @@ def dual_point(fam, dual):
     return phi
 
 
-def random_dual(fam, rng, radius=4):
-    y = {ij: rng.randint(-radius, radius) for ij in fam.positions}
+def random_dual(fam, rng):
+    """A dual element with entries drawn from [-4, 4], in position order."""
+    y = {ij: rng.randint(-4, 4) for ij in fam.positions}
     return DualElement(fam, (y[fam.pos_of[name]] for name in fam.axis))
 
 
-def verify_strict_dual(fam, rng, pairs=500, chart_samples=50, radius=4):
+def verify_strict_dual(fam, rng, pairs=500, chart_samples=50):
     """Desk-scale strict-duality report for a triangular family.
 
     Checks, exactly on samples: pairing symmetry (the two evaluation routes
@@ -456,8 +473,8 @@ def verify_strict_dual(fam, rng, pairs=500, chart_samples=50, radius=4):
     report = {"symmetry": 0, "injectivity": True, "charts": {}, "ok": True}
     seen = {}
     for _ in range(pairs):
-        x = tuple(rng.randint(-radius, radius) for _ in fam.axis)
-        n = random_dual(fam, rng, radius)
+        x = tuple(rng.randint(-4, 4) for _ in fam.axis)
+        n = random_dual(fam, rng)
         if eval_w(fam, n, x) != eval_v(fam, x, n):
             raise DualFail(f"pairing symmetry fails at {x}, {n}")
         report["symmetry"] += 1
@@ -470,7 +487,7 @@ def verify_strict_dual(fam, rng, pairs=500, chart_samples=50, radius=4):
         signs = chart_sign_vector(fam, chart)
         inside = outside_fail = outside_seen = 0
         for _ in range(chart_samples):
-            n = random_dual(fam, rng, radius)
+            n = random_dual(fam, rng)
             phi = dual_point(fam, n)
             m1 = lat.element(tuple(rng.randint(-3, 3) for _ in fam.axis))
             m2 = lat.element(tuple(rng.randint(-3, 3) for _ in fam.axis))
@@ -488,7 +505,7 @@ def verify_strict_dual(fam, rng, pairs=500, chart_samples=50, radius=4):
             # targeted search: some dual outside the cone must break
             # additivity on this chart
             for _ in range(200):
-                n = random_dual(fam, rng, radius)
+                n = random_dual(fam, rng)
                 if dual_in_cone(fam, n, signs):
                     continue
                 outside_seen += 1

@@ -10,7 +10,6 @@ lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,12 +29,6 @@ def charts_of(poset):
 
 def chart_str(chart):
     return ",".join(sorted(chart))
-
-
-@dataclass(frozen=True)
-class MCOPolytope:
-    chart: frozenset
-    hrep: geometry.HPolyhedron
 
 
 def build_mco(poset, chart):
@@ -66,7 +59,7 @@ def build_mco(poset, chart):
                     stack.append((b, chain + (b,)))
                 else:
                     rows.append(_chain_row(poset, index, dim, a, chain, b))
-    return MCOPolytope(chart, geometry.HPolyhedron(dim, rows))
+    return geometry.HPolyhedron(dim, rows)
 
 
 def _chain_row(poset, index, dim, a, chain, b):
@@ -209,29 +202,22 @@ def mu_inverse(poset, chart, xp):
 # ---------------------------------------------------------------------------
 # centered polytopes
 
-@dataclass(frozen=True)
-class HatDelta:
-    chart: frozenset
-    hrep: geometry.HPolyhedron  # translated so the origin is the shift image
-    shift: tuple                # phi_{C,O}(u)
-
-
 def hat_delta(poset, u, chart):
-    """The chart polytope translated by -phi_{C,O}(u)."""
+    """The chart polytope translated by -phi_{C,O}(u), so that the origin
+    is the image of the shift vector."""
     chart = frozenset(chart)
-    uvec = u.vector(poset)
-    shift = transfer(poset, chart, uvec)
-    mcop = build_mco(poset, chart)
-    hrep = mcop.hrep.translate(tuple(-t for t in shift))
-    return HatDelta(chart, hrep, shift)
+    return _centered(poset, chart, transfer(poset, chart, u.vector(poset)))
 
 
-def hat_delta_box(poset, u, chart, k=1):
-    """Integer bounding box of the k-fold dilation of hat_delta's polytope."""
+def _centered(poset, chart, shift):
+    return build_mco(poset, chart).translate(tuple(-t for t in shift))
+
+
+def _box(poset, chart, shift, k):
+    """Integer bounding box of the k-fold dilated centered polytope, whose
+    shift is phi_{C,O}(u)."""
     lam = list(poset.marking.values())
     lo, hi = min(lam), max(lam)
-    uvec = u.vector(poset)
-    shift = transfer(poset, frozenset(chart), uvec)
     box = []
     for p, t in zip(poset.axis, shift):
         if p in chart:
@@ -244,10 +230,12 @@ def hat_delta_box(poset, u, chart, k=1):
 
 def lattice_points_of_hat_delta(poset, u, chart, k=1,
                                 budget=geometry.DEFAULT_ENUM_BUDGET):
-    hd = hat_delta(poset, u, chart)
-    poly = hd.hrep.dilate(k)
-    box = hat_delta_box(poset, u, chart, k)
-    return geometry.lattice_points(poly, box, budget=budget)
+    """The integer points of the k-fold dilated centered polytope."""
+    chart = frozenset(chart)
+    shift = transfer(poset, chart, u.vector(poset))
+    return geometry.lattice_points(_centered(poset, chart, shift).dilate(k),
+                                   _box(poset, chart, shift, k),
+                                   budget=budget)
 
 
 def verify_transfer_bijection(poset, u, k=1,

@@ -7,7 +7,9 @@ elements.  The zigzag classifier decomposes every "breve" double level into
 connected components and matches them against the two admissible shapes
 (an all-unmarked zigzag, or a zigzag whose last lower element is marked);
 every downstream construction (relations, dual lattices, Cox counts) hangs
-off this classification.
+off this classification.  The graded structure and the classification
+are computed once per poset and kept on it; a poset that fails either
+raises again on every call.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ class MarkedPoset:
     """Immutable triple (elements, covers, marking); covers (q, p) mean q < p."""
 
     __slots__ = ("elements", "covers", "marking", "axis", "_index", "_lower",
-                 "_upper", "_chart_plans")
+                 "_upper", "_chart_plans", "_graded", "_spade", "_relations",
+                 "_basis")
 
     def __init__(self, elements, covers, marking):
         self.elements = tuple(sorted(elements))
@@ -90,6 +93,11 @@ class MarkedPoset:
             self._lower[p].append(q)
             self._upper[q].append(p)
         self._chart_plans = {}  # compiled chart maps, filled by mco
+        # derived structure, each computed on first use and never on failure
+        self._graded = None     # graded_structure
+        self._spade = None      # classify_spade
+        self._relations = None  # relation tails, filled by algebra
+        self._basis = None      # adapted basis table, filled by algebra
 
     @property
     def marked(self):
@@ -197,10 +205,14 @@ def validate(poset):
 
 
 def graded_structure(poset):
-    diag = validate(poset)
-    if diag.graded is None:
-        raise NotGraded(str(diag.errors))
-    return diag.graded
+    """The ranks and levels of a graded poset, computed once per poset;
+    raises NotGraded otherwise."""
+    if poset._graded is None:
+        diag = validate(poset)
+        if diag.graded is None:
+            raise NotGraded(str(diag.errors))
+        poset._graded = diag.graded
+    return poset._graded
 
 
 def _topological(poset):
@@ -243,9 +255,9 @@ class BreveLevel:
     edges: tuple        # covers (q, p) with q in lower, p in upper
 
 
-def breve_level(poset, i, graded=None):
+def breve_level(poset, i):
     """Double level Pi(i) u Pi(i+1) with marked or single-legged uppers removed."""
-    graded = graded or graded_structure(poset)
+    graded = graded_structure(poset)
     lower = graded.levels.get(i, ())
     upper_all = graded.levels.get(i + 1, ())
     kept, removed = [], []
@@ -284,20 +296,26 @@ class LevelComponent:
         return self.shape == TRIVIAL and not self.lower_marked[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpadeClassification:
-    components: list
+    components: tuple
     lower_pos: dict  # element -> (component index, 1-based position in lower)
     upper_pos: dict  # element -> (component index, 1-based position in upper)
 
 
-def classify_spade(poset, graded=None):
-    """Classify every breve-level component; raise SpadeViolation otherwise."""
-    graded = graded or graded_structure(poset)
+def classify_spade(poset):
+    """Classify every breve-level component, once per poset; raise
+    SpadeViolation otherwise."""
+    if poset._spade is None:
+        poset._spade = _classify(poset)
+    return poset._spade
+
+
+def _classify(poset):
     components = []
     lower_pos, upper_pos = {}, {}
-    for i in range(graded.max_rank + 1):
-        breve = breve_level(poset, i, graded)
+    for i in range(graded_structure(poset).max_rank + 1):
+        breve = breve_level(poset, i)
         for comp in _components(breve):
             lc = _match_shape(poset, i, comp)
             idx = len(components)
@@ -306,7 +324,7 @@ def classify_spade(poset, graded=None):
                 lower_pos[p] = (idx, k)
             for k, q in enumerate(lc.upper, start=1):
                 upper_pos[q] = (idx, k)
-    return SpadeClassification(components, lower_pos, upper_pos)
+    return SpadeClassification(tuple(components), lower_pos, upper_pos)
 
 
 def _components(breve):
@@ -392,13 +410,13 @@ class ShiftVector:
         return tuple(self.u[p] for p in poset.axis)
 
 
-def choose_u(poset, strict=True, graded=None):
+def choose_u(poset, strict=True):
     """Rank-constant interior shift vector, strictly increasing if requested.
 
     Values on ranks containing marked elements equal the marking there;
     unmarked ranks interpolate evenly with left-justified (floor) rounding.
     """
-    graded = graded or graded_structure(poset)
+    graded = graded_structure(poset)
     rank_value = {}
     for a, v in poset.marking.items():
         r = graded.rank[a]

@@ -128,11 +128,10 @@ def equal_sampled(a, b, functionals):
     return True
 
 
-def sample_functionals(fam, rng, count=60, radius=4):
+def sample_functionals(fam, rng, count=60):
     out = [phi for phi in lattice.structural_points(fam.poset)]
     for _ in range(count):
-        out.append(lattice.dual_point(fam, lattice.random_dual(
-            fam, rng, radius)))
+        out.append(lattice.dual_point(fam, lattice.random_dual(fam, rng)))
     return out
 
 

@@ -17,11 +17,6 @@ def fam_C2():
 
 
 @pytest.fixture(scope="session")
-def cls_A2(fam_A2):
-    return classify_spade(fam_A2.poset)
-
-
-@pytest.fixture(scope="session")
 def cls_C2(fam_C2):
     return classify_spade(fam_C2.poset)
 

@@ -1,5 +1,6 @@
-"""Acceptance gate: the full criteria suite runs once per session and each
-criterion is reported as its own pass/fail line."""
+"""Acceptance gate: the quick profile of the criteria suite runs once per
+session at seed 0, each criterion is reported as its own pass/fail line, and
+the quick fingerprint is pinned."""
 
 import hashlib
 import json

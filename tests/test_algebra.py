@@ -4,32 +4,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyptych import algebra, cox, lattice, semialgebra
-from polyptych.posets import classify_spade, gt_type_C
+from polyptych.posets import gt_type_C
 
 
-def tails_of(fam, cls):
-    return algebra.build_relations(fam.poset, cls)
+def tails_of(fam):
+    return algebra.build_relations(fam.poset)
 
 
-def test_relations_c2(fam_C2, cls_C2):
-    assert tails_of(fam_C2, cls_C2) == {
+def test_relations_c2(fam_C2):
+    assert tails_of(fam_C2) == {
         "q11": ("Y", "q21"), "q12": None,
         "q21": ("Y", "q31"), "q31": None}
 
 
-def test_relations_a2(fam_A2, cls_A2):
-    assert tails_of(fam_A2, cls_A2) == {
+def test_relations_a2(fam_A2):
+    assert tails_of(fam_A2) == {
         "q12": None, "q21": ("Y", "q31"), "q31": None}
 
 
 def test_relations_c3_has_product_tail():
     p = gt_type_C(3, (2, 4, 6))
-    tails = algebra.build_relations(p, classify_spade(p))
+    tails = algebra.build_relations(p)
     assert any(t and t[0] == "XY" for t in tails.values())
 
 
-def test_normal_form_oracle_c2(fam_C2, cls_C2):
-    tails = tails_of(fam_C2, cls_C2)
+def test_normal_form_oracle_c2(fam_C2):
+    tails = tails_of(fam_C2)
     f = {algebra.mono({"q11": (1, 1), "q21": (1, 1)}): Fraction(1)}
     nf = algebra.normal_form(f, tails)
     expect = {
@@ -40,8 +40,8 @@ def test_normal_form_oracle_c2(fam_C2, cls_C2):
     assert nf == expect
 
 
-def test_normal_form_terminates_and_standard(fam_C2, cls_C2, rng):
-    tails = tails_of(fam_C2, cls_C2)
+def test_normal_form_terminates_and_standard(fam_C2, rng):
+    tails = tails_of(fam_C2)
     for _ in range(20):
         f = algebra.random_sparse(rng, fam_C2.poset, terms=3, max_exp=2)
         nf = algebra.normal_form(f, tails)
@@ -49,8 +49,8 @@ def test_normal_form_terminates_and_standard(fam_C2, cls_C2, rng):
             assert all(min(a, b) == 0 for _, a, b in m)
 
 
-def test_multiply_associative(fam_C2, cls_C2, rng):
-    tails = tails_of(fam_C2, cls_C2)
+def test_multiply_associative(fam_C2, rng):
+    tails = tails_of(fam_C2)
     for _ in range(10):
         f, g, h = (algebra.normal_form(
             algebra.random_sparse(rng, fam_C2.poset), tails)
@@ -64,10 +64,9 @@ def test_multiply_associative(fam_C2, cls_C2, rng):
 @given(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
 def test_adapted_basis_roundtrip(vec):
     p = gt_type_C(2, (2, 4))
-    cls = classify_spade(p)
-    m = algebra.m_to_monomial(p, cls, tuple(vec))
+    m = algebra.m_to_monomial(p, tuple(vec))
     assert all(min(a, b) == 0 for _, a, b in m)
-    assert algebra.monomial_to_m(p, cls, m) == tuple(vec)
+    assert algebra.monomial_to_m(p, m) == tuple(vec)
 
 
 def test_valuation_multiplicative_exact(fam_C2, rng):
@@ -75,25 +74,23 @@ def test_valuation_multiplicative_exact(fam_C2, rng):
     assert rep["ok"]
 
 
-def test_valuation_star_identity(fam_C2, cls_C2):
-    tails = tails_of(fam_C2, cls_C2)
+def test_valuation_star_identity(fam_C2):
+    tails = tails_of(fam_C2)
     lat = lattice.PolyptychLattice(fam_C2.poset)
     for p, tail in tails.items():
-        nx = algebra.valuation({algebra.x_var(p): Fraction(1)},
-                               lat, cls_C2)
-        ny = algebra.valuation({algebra.y_var(p): Fraction(1)},
-                               lat, cls_C2)
+        nx = algebra.valuation({algebra.x_var(p): Fraction(1)}, lat)
+        ny = algebra.valuation({algebra.y_var(p): Fraction(1)}, lat)
         rhs = algebra.valuation(
             algebra.add({algebra.ONE: Fraction(1)},
-                        algebra.tail_element(tail)), lat, cls_C2)
+                        algebra.tail_element(tail)), lat)
         assert semialgebra.equal_exact(fam_C2, semialgebra.star(nx, ny), rhs)
 
 
-def test_unit_report(fam_C2, cls_C2):
-    tails = tails_of(fam_C2, cls_C2)
+def test_unit_report(fam_C2):
+    tails = tails_of(fam_C2)
     units = sorted(p for p in fam_C2.axis if tails[p] is None)
     assert units == ["q12", "q31"]
-    assert len(units) == cox.cox_counts(fam_C2.poset, cls_C2).U
+    assert len(units) == cox.cox_counts(fam_C2.poset).U
 
 
 def test_jacobian_rank(fam_C2, rng):
@@ -103,8 +100,8 @@ def test_jacobian_rank(fam_C2, rng):
     assert rep["ok"]
 
 
-def test_degenerate_point_solves_relations(fam_C2, cls_C2):
-    tails = tails_of(fam_C2, cls_C2)
+def test_degenerate_point_solves_relations(fam_C2):
+    tails = tails_of(fam_C2)
     xv, yv = algebra.degenerate_point_gt(fam_C2)
     vals = algebra.evaluate_relations(fam_C2.poset, tails, xv, yv)
     assert all(v == 0 for v in vals)

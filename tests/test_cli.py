@@ -54,6 +54,17 @@ def test_mutate_empty_to_empty_is_identity(runner):
     assert code == 0 and out["image"] == [1, -2, 3, 0]
 
 
+def test_mutate_dimension_zero_poset(runner, tmp_path):
+    """A poset whose elements are all marked has one chart, of dimension 0:
+    the empty --vector is its one vector."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"elements": ["e0"], "covers": [],
+                                "marked": {"e0": 1}}))
+    code, out = run_json(runner, ["mutate", "--vector", "", "--poset",
+                                  str(path)])
+    assert code == 0 and out["vector"] == [] and out["image"] == []
+
+
 def test_hilbert_rows(runner):
     code, out = run_json(runner, ["hilbert", "--family", "gtA", "--n", "2",
                                   "--lambda", "0,2,4", "--kmax", "2"])

@@ -22,9 +22,9 @@ def test_hilbert_vs_ehrhart_c2(fam_C2):
     assert [r["dimension"] for r in rep["rows"]] == [1, 81]
 
 
-def test_graded_piece_monomials_standard(fam_C2, cls_C2):
+def test_graded_piece_monomials_standard(fam_C2):
     u = choose_u(fam_C2.poset)
-    piece = degeneration.gamma(fam_C2.poset, u, 1, cls_C2)
+    piece = degeneration.gamma(fam_C2.poset, u, 1)
     assert piece.dimension == 81
     assert all(min(a, b) == 0 for m in piece.basis for _, a, b in m)
 
@@ -75,11 +75,11 @@ def test_small_family_hilbert():
 
 
 @pytest.fixture(scope="module")
-def deg1_A2(fam_A2, cls_A2):
+def deg1_A2(fam_A2):
     """Degree-1 points of A2 keyed to their basis monomials, and u."""
     u = choose_u(fam_A2.poset)
-    piece = degeneration.gamma(fam_A2.poset, u, 1, cls_A2)
-    deg1 = {algebra.monomial_to_m(fam_A2.poset, cls_A2, b): b
+    piece = degeneration.gamma(fam_A2.poset, u, 1)
+    deg1 = {algebra.monomial_to_m(fam_A2.poset, b): b
             for b in piece.basis}
     return deg1, u
 
@@ -123,12 +123,12 @@ def test_decompositions_match_brute_force(fam_A2, deg1_A2, k):
     v = points[0]
     outside = tuple((k + 1) * c for c in v)
     hd = mco.hat_delta(fam_A2.poset, u, frozenset())
-    assert not hd.hrep.dilate(k).contains(outside)
+    assert not hd.dilate(k).contains(outside)
     assert degeneration._decompositions(bounds, deg1, points, outside,
                                         k) == []
 
 
-def test_generation_gap_reports_dropped_vertex(fam_A2, cls_A2, deg1_A2):
+def test_generation_gap_reports_dropped_vertex(fam_A2, deg1_A2):
     """Without the monomial of a vertex v in degree 1, the degree-2 monomial
     of 2v is unreachable: 2v has no other decomposition."""
     poset = fam_A2.poset
@@ -140,12 +140,12 @@ def test_generation_gap_reports_dropped_vertex(fam_A2, cls_A2, deg1_A2):
     pieces = {1: degeneration.GradedPiece(
                   1, tuple(b for b in sorted(deg1.values())
                            if b != deg1[v])),
-              2: degeneration.gamma(poset, u, 2, cls_A2)}
-    tails = algebra.build_relations(poset, cls_A2)
-    gap = degeneration._generation_gap(poset, cls_A2, tails, u, pieces, 2)
-    assert algebra.m_to_monomial(poset, cls_A2, two_v) in gap
+              2: degeneration.gamma(poset, u, 2)}
+    tails = algebra.build_relations(poset)
+    gap = degeneration._generation_gap(poset, tails, u, pieces, 2)
+    assert algebra.m_to_monomial(poset, two_v) in gap
     for b in gap:   # only monomials that need v go missing
-        z = algebra.monomial_to_m(poset, cls_A2, b)
+        z = algebra.monomial_to_m(poset, b)
         assert tuple(c - d for c, d in zip(z, v)) in deg1
 
 

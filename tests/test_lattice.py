@@ -299,3 +299,19 @@ def test_random_duals_satisfy_min_equations(fam):
             if (i + 1, j) in fam.positions:
                 expect = min(0, -yp[(i + 1, j)] + y.get((i + 1, j - 1), 0))
             assert y[(i, j)] - yp[(i, j)] == expect, (i, j)
+
+
+def test_eval_v_builds_no_dual_element(monkeypatch):
+    """eval_v reads the generator y-vectors from the family's table, built
+    without a DualElement, and agrees with eval_w."""
+    fam = GTFamily("C", 2, (2, 4))
+    rng = random.Random(3)
+    samples = [(tuple(rng.randint(-4, 4) for _ in fam.axis),
+                lattice.random_dual(fam, rng)) for _ in range(20)]
+
+    def forbidden(self, fam, y):
+        raise AssertionError("eval_v built a DualElement")
+
+    monkeypatch.setattr(lattice.DualElement, "__init__", forbidden)
+    for x, n in samples:
+        assert lattice.eval_v(fam, x, n) == lattice.eval_w(fam, n, x)

@@ -45,7 +45,7 @@ def test_hat_delta_contains_origin(fam_C2):
     u = choose_u(fam_C2.poset)
     for chart in mco.charts_of(fam_C2.poset):
         hd = mco.hat_delta(fam_C2.poset, u, chart)
-        assert hd.hrep.contains((0,) * len(fam_C2.poset.axis))
+        assert hd.contains((0,) * len(fam_C2.poset.axis))
 
 
 @settings(max_examples=60, deadline=None)

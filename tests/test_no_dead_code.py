@@ -1,6 +1,8 @@
-"""Every definition in the package has a user in src/ or perfbench/, or a
-reason to stay in KEPT.  Click calls the (decorated) commands and the
-methods of _Main, whose base is a library class."""
+"""Every definition in the package has a user in src/ or perfbench/, and
+every parameter with a default is passed by some call in src/, perfbench/
+or tests/, or KEPT names it (as "function.param") with a reason to stay.
+Click calls the (decorated) commands and the methods of _Main, whose base
+is a library class."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -15,7 +17,13 @@ KEPT = dict.fromkeys([
     "transfer_inverse": "inverse of the transfer bijection, for round trips",
     "chain_poset": "builder listed in the README",
     "oplus": "the addition of the semialgebra",
-    "verify_point_axiom": "the point-axiom check perfbench runs"}
+    "verify_point_axiom": "the point-axiom check perfbench runs",
+    "basic_pi2.lo": "the marked bottom value, as basic_pi1 takes it",
+    "basic_pi2.hi": "the marked top value, as basic_pi1 takes it"} | \
+    dict.fromkeys([
+        "polyhedron_equal.dim_cap", "minkowski_sum_hull.dim_cap",
+        "verify_transfer_bijection.budget"],
+        "a named resource limit, reported as exit 3 when exceeded")
 
 
 def _names(node):
@@ -36,3 +44,52 @@ def test_every_definition_is_used_or_kept():
         if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
     assert sorted({d.name for d in defs if d.name not in KEPT
                    and used[d.name] == _names(d)[d.name]}) == []
+
+
+def _passed(trees):
+    """Per called name: the most positional arguments of any call (all of
+    them after a *args) and the keywords used (None for a **kwargs).
+    A name imported under an alias counts as its original name."""
+    out = {}
+    for tree in trees:
+        alias = {a.asname: a.name for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) for a in n.names if a.asname}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            entry = out.setdefault(alias.get(name, name), [0, set()])
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            entry[0] = max(entry[0],
+                           float("inf") if starred else len(call.args))
+            entry[1].update(k.arg for k in call.keywords)
+    return out
+
+
+def test_every_default_parameter_is_passed_or_kept():
+    package = sorted(ROOT.glob("src/polyptych/*.py"))
+    callers = package + sorted(ROOT.glob("perfbench/**/*.py")) + sorted(
+        ROOT.glob("tests/*.py"))
+    passed = _passed(ast.parse(p.read_text()) for p in callers)
+    unused = []
+    for path in package:
+        body = ast.parse(path.read_text()).body
+        fns = [(None, n) for n in body
+               if isinstance(n, ast.FunctionDef) and not n.decorator_list]
+        fns += [(c.name, m) for c in body if isinstance(c, ast.ClassDef)
+                for m in c.body if isinstance(m, ast.FunctionDef)]
+        for owner, fn in fns:
+            # a method's positions count from after self; a class call is
+            # a call of __init__
+            params = [a.arg for a in fn.args.args][owner is not None:]
+            defaults = params[len(params) - len(fn.args.defaults):] + [
+                a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None]
+            call = owner if fn.name == "__init__" else fn.name
+            npos, kws = passed.get(call, (0, set()))
+            unused += [f"{fn.name}.{name}" for name in defaults
+                       if name not in kws and None not in kws
+                       and not (name in params and params.index(name) < npos)
+                       and f"{fn.name}.{name}" not in KEPT]
+    assert unused == []

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from polyptych.posets import (MarkedPoset, NoInteriorU, PosetError,
-                              SpadeViolation, basic_pi1, basic_pi2,
-                              chain_poset, choose_u, classify_spade,
-                              gt_type_A, gt_type_C, graded_structure,
-                              validate)
+from polyptych import algebra, degeneration, posets
+from polyptych.families import GTFamily
+from polyptych.posets import (MarkedPoset, NoInteriorU, NotGraded,
+                              PosetError, SpadeViolation, basic_pi1,
+                              basic_pi2, chain_poset, choose_u,
+                              classify_spade, gt_type_A, gt_type_C,
+                              graded_structure, validate)
 
 
 def three_fan():
@@ -111,3 +113,41 @@ def test_graded_structure_ranks():
 def test_invalid_cycle_detected():
     p = MarkedPoset(["a", "b"], [("a", "b"), ("b", "a")], {})
     assert not validate(p).ok
+
+
+def test_derived_structure_is_computed_once(monkeypatch):
+    """choose_u, hilbert_vs_ehrhart, gamma and no_body_sample share one
+    graded structure on a fresh family: validate runs once in all."""
+    seen = []
+
+    def counting(poset):
+        seen.append(poset)
+        return validate(poset)
+
+    monkeypatch.setattr(posets, "validate", counting)
+    fam = GTFamily("A", 2, (0, 2, 4))
+    u = choose_u(fam.poset)
+    assert degeneration.hilbert_vs_ehrhart(fam.poset, u, 1)["ok"]
+    degeneration.gamma(fam.poset, u, 1)
+    spec = degeneration.default_chart_valuation_spec(fam, frozenset())
+    assert degeneration.no_body_sample(fam, u, spec, 1)["ok"]
+    assert seen == [fam.poset]
+    assert classify_spade(fam.poset) is classify_spade(fam.poset)
+    assert (algebra.build_relations(fam.poset)
+            is algebra.build_relations(fam.poset))
+
+
+def test_failures_are_raised_again():
+    fan = three_fan()
+    for _ in range(2):
+        with pytest.raises(SpadeViolation, match="3 legs"):
+            classify_spade(fan)
+    # bot < p1 < p2 < top and bot < p3 < top: p3 skips a rank
+    skew = MarkedPoset(["bot", "p1", "p2", "p3", "top"],
+                       [("bot", "p1"), ("p1", "p2"), ("p2", "top"),
+                        ("bot", "p3"), ("p3", "top")], {"bot": 0, "top": 3})
+    for _ in range(2):
+        with pytest.raises(NotGraded):
+            graded_structure(skew)
+    with pytest.raises(NotGraded):
+        classify_spade(skew)
