@@ -199,12 +199,12 @@ def valuation(f, lat):
     return semialgebra.SemialgebraElement(lat, gens)
 
 
-def random_sparse(rng, poset, terms=2, max_exp=2):
+def random_sparse(rng, poset, terms=2):
     out = []
     for _ in range(terms):
-        m = mono({p: ((rng.randint(0, max_exp), 0)
+        m = mono({p: ((rng.randint(0, 2), 0)
                       if rng.random() < 0.5
-                      else (0, rng.randint(0, max_exp)))
+                      else (0, rng.randint(0, 2)))
                   for p in poset.axis if rng.random() < 0.7})
         out.append((m, Fraction(rng.randint(1, 5))))
     return element(out)

@@ -206,20 +206,16 @@ def hat_delta(poset, u, chart):
     """The chart polytope translated by -phi_{C,O}(u), so that the origin
     is the image of the shift vector."""
     chart = frozenset(chart)
-    return _centered(poset, chart, transfer(poset, chart, u.vector(poset)))
-
-
-def _centered(poset, chart, shift):
+    shift = transfer(poset, chart, u.vector(poset))
     return build_mco(poset, chart).translate(tuple(-t for t in shift))
 
 
-def _box(poset, chart, shift, k):
-    """Integer bounding box of the k-fold dilated centered polytope, whose
-    shift is phi_{C,O}(u)."""
+def _box(poset, u, chart, k):
+    """Integer bounding box of the k-fold dilation of hat_delta's polytope."""
     lam = list(poset.marking.values())
     lo, hi = min(lam), max(lam)
     box = []
-    for p, t in zip(poset.axis, shift):
+    for p, t in zip(poset.axis, transfer(poset, chart, u.vector(poset))):
         if p in chart:
             plo, phi = 0, hi - lo
         else:
@@ -230,12 +226,10 @@ def _box(poset, chart, shift, k):
 
 def lattice_points_of_hat_delta(poset, u, chart, k=1,
                                 budget=geometry.DEFAULT_ENUM_BUDGET):
-    """The integer points of the k-fold dilated centered polytope."""
+    """The integer points of the k-fold dilation of hat_delta's polytope."""
     chart = frozenset(chart)
-    shift = transfer(poset, chart, u.vector(poset))
-    return geometry.lattice_points(_centered(poset, chart, shift).dilate(k),
-                                   _box(poset, chart, shift, k),
-                                   budget=budget)
+    return geometry.lattice_points(hat_delta(poset, u, chart).dilate(k),
+                                   _box(poset, u, chart, k), budget=budget)
 
 
 def verify_transfer_bijection(poset, u, k=1,

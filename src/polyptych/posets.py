@@ -450,8 +450,9 @@ def chain_poset(length, lo, hi):
     return MarkedPoset(elements, covers, {"bot": lo, "top": hi})
 
 
-def basic_pi1(n, lo=0, hi=3):
-    """Zigzag p_1..p_{n+1} under q_1..q_n, with marked bottom and top added."""
+def basic_pi1(n, hi=3):
+    """Zigzag p_1..p_{n+1} under q_1..q_n, with a bottom marked 0 and a top
+    marked hi added."""
     elements = ["bot", "top"]
     covers = []
     for k in range(1, n + 2):
@@ -462,14 +463,13 @@ def basic_pi1(n, lo=0, hi=3):
         covers.append((f"p{k}", f"q{k}"))
         covers.append((f"p{k + 1}", f"q{k}"))
         covers.append((f"q{k}", "top"))
-    return MarkedPoset(elements, covers, {"bot": lo, "top": hi})
+    return MarkedPoset(elements, covers, {"bot": 0, "top": hi})
 
 
-def basic_pi2(n, lam, lo=0, hi=None):
-    """Like basic_pi1 but with the last lower element p_{n+1} marked (value lam)."""
-    if hi is None:
-        hi = max(lam, lo) + 2
-    poset = basic_pi1(n, lo, hi)
+def basic_pi2(n, lam):
+    """Like basic_pi1 but with the last lower element p_{n+1} marked (value
+    lam) and the top marked max(lam, 0) + 2."""
+    poset = basic_pi1(n, max(lam, 0) + 2)
     marking = dict(poset.marking)
     marking[f"p{n + 1}"] = lam
     return MarkedPoset(poset.elements, poset.covers, marking)

@@ -41,6 +41,20 @@ def test_dilation_count_a2(fam_A2):
     assert len(pts) == 125
 
 
+def test_enumeration_builds_its_polytope_through_hat_delta(fam_A2,
+                                                          monkeypatch):
+    # a per-layer tracer wraps the module attribute mco.hat_delta, so the
+    # enumeration must reach the polytope through it
+    u = choose_u(fam_A2.poset)
+    built = []
+    full = mco.hat_delta
+    monkeypatch.setattr(mco, "hat_delta",
+                        lambda *a: built.append(a[2]) or full(*a))
+    for chart in mco.charts_of(fam_A2.poset):
+        mco.lattice_points_of_hat_delta(fam_A2.poset, u, chart)
+    assert built == mco.charts_of(fam_A2.poset)
+
+
 def test_hat_delta_contains_origin(fam_C2):
     u = choose_u(fam_C2.poset)
     for chart in mco.charts_of(fam_C2.poset):

@@ -1,6 +1,7 @@
 """Every definition in the package has a user in src/ or perfbench/, and
-every parameter with a default is passed by some call in src/, perfbench/
-or tests/, or KEPT names it (as "function.param") with a reason to stay.
+every parameter with a default is set by some call in src/, perfbench/ or
+tests/ to something other than its literal default, or KEPT names it (as
+"function.param") with a reason to stay.
 Click calls the (decorated) commands and the methods of _Main, whose base
 is a library class."""
 import ast
@@ -17,9 +18,7 @@ KEPT = dict.fromkeys([
     "transfer_inverse": "inverse of the transfer bijection, for round trips",
     "chain_poset": "builder listed in the README",
     "oplus": "the addition of the semialgebra",
-    "verify_point_axiom": "the point-axiom check perfbench runs",
-    "basic_pi2.lo": "the marked bottom value, as basic_pi1 takes it",
-    "basic_pi2.hi": "the marked top value, as basic_pi1 takes it"} | \
+    "verify_point_axiom": "the point-axiom check perfbench runs"} | \
     dict.fromkeys([
         "polyhedron_equal.dim_cap", "minkowski_sum_hull.dim_cap",
         "verify_transfer_bijection.budget"],
@@ -46,10 +45,10 @@ def test_every_definition_is_used_or_kept():
                    and used[d.name] == _names(d)[d.name]}) == []
 
 
-def _passed(trees):
-    """Per called name: the most positional arguments of any call (all of
-    them after a *args) and the keywords used (None for a **kwargs).
-    A name imported under an alias counts as its original name."""
+def _calls(trees):
+    """Per called name: for each call, the source of its positional
+    arguments (None after a *args) and of its keywords (None keys a
+    **kwargs). A name imported under an alias counts as its original name."""
     out = {}
     for tree in trees:
         alias = {a.asname: a.name for n in ast.walk(tree)
@@ -59,19 +58,32 @@ def _passed(trees):
                 continue
             f = call.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
-            entry = out.setdefault(alias.get(name, name), [0, set()])
-            starred = any(isinstance(a, ast.Starred) for a in call.args)
-            entry[0] = max(entry[0],
-                           float("inf") if starred else len(call.args))
-            entry[1].update(k.arg for k in call.keywords)
+            args = [None if isinstance(a, ast.Starred) else ast.dump(a)
+                    for a in call.args]
+            if None in args:
+                args = args[:args.index(None)] + [None] * 99
+            out.setdefault(alias.get(name, name), []).append(
+                (args, {k.arg: ast.dump(k.value) for k in call.keywords}))
     return out
+
+
+def _sets(calls, name, pos, default):
+    """Whether some call passes the parameter a value other than the
+    literal default; passing the default sets nothing."""
+    for args, kws in calls:
+        if None in kws:
+            return True
+        value = kws.get(name, args[pos] if pos < len(args) else default)
+        if value != default:
+            return True
+    return False
 
 
 def test_every_default_parameter_is_passed_or_kept():
     package = sorted(ROOT.glob("src/polyptych/*.py"))
     callers = package + sorted(ROOT.glob("perfbench/**/*.py")) + sorted(
         ROOT.glob("tests/*.py"))
-    passed = _passed(ast.parse(p.read_text()) for p in callers)
+    calls = _calls(ast.parse(p.read_text()) for p in callers)
     unused = []
     for path in package:
         body = ast.parse(path.read_text()).body
@@ -81,15 +93,16 @@ def test_every_default_parameter_is_passed_or_kept():
                 for m in c.body if isinstance(m, ast.FunctionDef)]
         for owner, fn in fns:
             # a method's positions count from after self; a class call is
-            # a call of __init__
+            # a call of __init__; keyword-only parameters have no position
             params = [a.arg for a in fn.args.args][owner is not None:]
-            defaults = params[len(params) - len(fn.args.defaults):] + [
-                a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-                if d is not None]
+            defaults = list(zip(params[len(params) - len(fn.args.defaults):],
+                                fn.args.defaults)) + [
+                (a.arg, d) for a, d in zip(fn.args.kwonlyargs,
+                                           fn.args.kw_defaults) if d]
             call = owner if fn.name == "__init__" else fn.name
-            npos, kws = passed.get(call, (0, set()))
-            unused += [f"{fn.name}.{name}" for name in defaults
-                       if name not in kws and None not in kws
-                       and not (name in params and params.index(name) < npos)
-                       and f"{fn.name}.{name}" not in KEPT]
+            unused += [f"{fn.name}.{name}" for name, d in defaults
+                       if f"{fn.name}.{name}" not in KEPT and not _sets(
+                           calls.get(call, []), name,
+                           params.index(name) if name in params else 99,
+                           ast.dump(d))]
     assert unused == []
