@@ -6,7 +6,7 @@ once per poset and kept on it.
 
 Monomials are sparse maps p -> (a_p, b_p) of nonnegative X/Y exponents,
 canonically keyed by sorted element name; elements are sparse maps from
-monomial keys to nonzero rationals.
+monomial keys to nonzero coefficients, ints unless an input is rational.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def element(pairs):
     """Algebra element from an iterable of (monomial key, coefficient)."""
     acc = {}
     for m, c in pairs:
-        c = acc.get(m, Fraction(0)) + Fraction(c)
+        c = acc.get(m, 0) + c
         if c:
             acc[m] = c
         elif m in acc:
@@ -105,8 +105,8 @@ def tail_element(tail):
     if tail is None:
         return {}
     if tail[0] == "Y":
-        return {y_var(tail[1]): Fraction(1)}
-    return {mono_mul(x_var(tail[1]), y_var(tail[2])): Fraction(1)}
+        return {y_var(tail[1]): 1}
+    return {mono_mul(x_var(tail[1]), y_var(tail[2])): 1}
 
 
 def normal_form(f, tails):
@@ -121,7 +121,7 @@ def normal_form(f, tails):
         m, c = work.pop()
         target = next((p for p, a, b in m if a and b), None)
         if target is None:
-            c = out.get(m, Fraction(0)) + c
+            c = out.get(m, 0) + c
             if c:
                 out[m] = c
             elif m in out:
@@ -206,7 +206,7 @@ def random_sparse(rng, poset, terms=2):
                       if rng.random() < 0.5
                       else (0, rng.randint(0, 2)))
                   for p in poset.axis if rng.random() < 0.7})
-        out.append((m, Fraction(rng.randint(1, 5))))
+        out.append((m, rng.randint(1, 5)))
     return element(out)
 
 
@@ -258,12 +258,12 @@ def jacobian_matrix(poset, tails, xvals, yvals):
         tail = tails[p]
         if tail is not None:
             if tail[0] == "Y":
-                dy[tail[1]] = dy.get(tail[1], Fraction(0)) - 1
+                dy[tail[1]] = dy.get(tail[1], 0) - 1
             else:
-                dx[tail[1]] = dx.get(tail[1], Fraction(0)) - yvals[tail[2]]
-                dy[tail[2]] = dy.get(tail[2], Fraction(0)) - xvals[tail[1]]
-        rows.append([dx.get(q, Fraction(0)) for q in axis]
-                    + [dy.get(q, Fraction(0)) for q in axis])
+                dx[tail[1]] = dx.get(tail[1], 0) - yvals[tail[2]]
+                dy[tail[2]] = dy.get(tail[2], 0) - xvals[tail[1]]
+        rows.append([dx.get(q, 0) for q in axis]
+                    + [dy.get(q, 0) for q in axis])
     return rows
 
 
@@ -324,7 +324,7 @@ def degenerate_point_gt(fam):
 def _tail_value(tails, xvals, yvals, p):
     tail = tails[p]
     if tail is None:
-        return Fraction(0)
+        return 0
     if tail[0] == "Y":
         return yvals[tail[1]]
     return xvals[tail[1]] * yvals[tail[2]]

@@ -1,11 +1,14 @@
-"""Exact rational linear algebra and small-dimension polyhedral computations.
+"""Exact integer linear algebra and small-dimension polyhedral computations.
 
-Everything is computed over arbitrary-precision rationals (``fractions.
-Fraction``) or plain ints; no floating point.  The double description
-conversion is a textbook incremental algorithm with the combinatorial
-adjacency test, adequate for the dimensions handled here (capped, default 9).
-Determinants, ranks and the dual linear extension all run through one
-fraction-free row echelon, ``row_echelon``.
+Polyhedra are integer data, as in Fukuda and Prodon's integer double
+description ("Double description method revisited", 1996): H-rows (a, b)
+are integers, a rational row being scaled by its least common denominator
+on entry, and the double description works on primitive integer vectors.
+Only the vertices ``h_to_v`` produces are ``Fraction``s; no floating point.
+The double description conversion is a textbook incremental algorithm with
+the combinatorial adjacency test, adequate for the dimensions handled here
+(capped, default 9).  Determinants, ranks and the dual linear extension all
+run through one fraction-free row echelon, ``row_echelon``.
 
 Lattice-point enumeration runs in the kernel of ``_enum_py``.
 """
@@ -13,7 +16,7 @@ Lattice-point enumeration runs in the kernel of ``_enum_py``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import _enum_py
 
@@ -56,18 +59,17 @@ def vscale(c, a):
     return tuple(c * x for x in a)
 
 
+def _integral(v):
+    """An integer/rational vector times the least common denominator of its
+    entries: the smallest positive multiple of it that is integral."""
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v]
+
+
 def primitive(v):
     """Scale an integer/rational vector to a primitive integer vector."""
-    v = tuple(Fraction(x) for x in v)
-    if all(x == 0 for x in v):
-        return tuple(0 for _ in v)
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints = _integral(v)
+    g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
 
 
@@ -75,7 +77,8 @@ def primitive(v):
 # polyhedra
 
 class HPolyhedron:
-    """Finite system of inequalities a.x >= b (a integer covector, b rational)."""
+    """Finite system of inequalities a.x >= b with integer a and b; ``add``
+    scales a row with rational entries by its least common denominator."""
 
     __slots__ = ("dim", "rows")
 
@@ -88,7 +91,8 @@ class HPolyhedron:
     def add(self, a, b):
         if len(a) != self.dim:
             raise GeometryError(f"row dimension {len(a)} != {self.dim}")
-        self.rows.append((tuple(int(x) for x in a), Fraction(b)))
+        *a, b = _integral((*a, b))
+        self.rows.append((tuple(a), b))
 
     def contains(self, x):
         return all(dot(a, x) >= b for a, b in self.rows)
@@ -102,7 +106,7 @@ class HPolyhedron:
         return HPolyhedron(self.dim, [(a, k * b) for a, b in self.rows])
 
     def to_json(self):
-        return {"ineqs": [[*a, _frac_str(b)] for a, b in self.rows]}
+        return {"ineqs": [[*a, str(b)] for a, b in self.rows]}
 
     def __repr__(self):
         return f"HPolyhedron(dim={self.dim}, rows={len(self.rows)})"
@@ -115,9 +119,9 @@ class VPolyhedron:
 
     def __init__(self, dim, vertices=(), rays=(), lineality=()):
         self.dim = dim
-        self.vertices = [tuple(Fraction(x) for x in v) for v in vertices]
-        self.rays = [primitive(r) for r in rays]
-        self.lineality = [primitive(l) for l in lineality]
+        self.vertices = list(vertices)
+        self.rays = list(rays)
+        self.lineality = list(lineality)
 
     @property
     def is_empty(self):
@@ -126,11 +130,6 @@ class VPolyhedron:
     def __repr__(self):
         return (f"VPolyhedron(dim={self.dim}, V={len(self.vertices)}, "
                 f"R={len(self.rays)}, L={len(self.lineality)})")
-
-
-def _frac_str(b):
-    b = Fraction(b)
-    return str(b.numerator) if b.denominator == 1 else f"{b.numerator}/{b.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +145,8 @@ def lattice_points(poly, box, budget=DEFAULT_ENUM_BUDGET):
         raise GeometryError("box dimension mismatch")
     if poly.dim == 0:
         return [()] if all(b <= 0 for _, b in poly.rows) else []
-    rows_a, rows_b = [], []
-    for a, b in poly.rows:
-        den = b.denominator
-        rows_a.append(tuple(x * den for x in a))
-        rows_b.append(b.numerator)
+    rows_a = [a for a, _ in poly.rows]
+    rows_b = [b for _, b in poly.rows]
     box = [(int(lo), int(hi)) for lo, hi in box]
     try:
         return _enum_py.enumerate_lattice_points(rows_a, rows_b, box, budget)
@@ -162,14 +158,15 @@ def lattice_points(poly, box, budget=DEFAULT_ENUM_BUDGET):
 # double description (cone {x : h.x >= 0 for h in halfspaces})
 
 def cone_rays(halfspaces, dim, dim_cap=DEFAULT_DIM_CAP):
-    """V-description (lineality, extreme rays) of an H-described cone."""
+    """V-description (lineality, extreme rays) of an H-described cone; a
+    rational halfspace is scaled to its primitive integer multiple."""
     if dim > dim_cap:
         raise DimCapExceeded(f"dimension {dim} exceeds cap {dim_cap}")
     lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     rays = []  # entries: [vector, zeroset frozenset of processed halfspace ids]
     processed = []
     for h in halfspaces:
-        h = tuple(int(x) for x in h)
+        h = primitive(h)
         hid = len(processed)
         vals_l = [dot(h, l) for l in lineality]
         pivot = next((i for i, v in enumerate(vals_l) if v != 0), None)
@@ -234,17 +231,13 @@ def _adjacent(common, rp, rm, rays):
 def h_to_v(poly, dim_cap=DEFAULT_DIM_CAP):
     """Convert an H-polyhedron to V-form via homogenization."""
     dim = poly.dim
-    halfspaces = []
-    for a, b in poly.rows:
-        den = b.denominator
-        halfspaces.append(tuple(x * den for x in a) + (-int(b * den),))
+    halfspaces = [(*a, -b) for a, b in poly.rows]
     halfspaces.append(tuple([0] * dim + [1]))  # t >= 0
     lin, rays = cone_rays(halfspaces, dim + 1, dim_cap=dim_cap + 1)
     vertices, rec_rays = [], []
     for r in rays:
         if r[dim] > 0:
-            t = Fraction(r[dim])
-            vertices.append(tuple(Fraction(x) / t for x in r[:dim]))
+            vertices.append(tuple(Fraction(x, r[dim]) for x in r[:dim]))
         else:
             rec_rays.append(r[:dim])
     lineality = [l[:dim] for l in lin]
@@ -256,11 +249,11 @@ def v_to_h(vpoly, dim_cap=DEFAULT_DIM_CAP):
     if vpoly.is_empty:
         # canonical infeasible system
         zero = tuple([0] * vpoly.dim)
-        return HPolyhedron(vpoly.dim, [(zero, Fraction(1))])
+        return HPolyhedron(vpoly.dim, [(zero, 1)])
     dim = vpoly.dim
     gens = []
     for v in vpoly.vertices:
-        gens.append(primitive(tuple(v) + (1,)))
+        gens.append(tuple(v) + (1,))
     for r in vpoly.rays:
         gens.append(tuple(r) + (0,))
     for l in vpoly.lineality:
@@ -270,26 +263,26 @@ def v_to_h(vpoly, dim_cap=DEFAULT_DIM_CAP):
     lin, rays = cone_rays(gens, dim + 1, dim_cap=dim_cap + 1)
     rows = []
     for y in rays:
-        rows.append((y[:dim], Fraction(-y[dim])))
+        rows.append((y[:dim], -y[dim]))
     for y in lin:
-        rows.append((y[:dim], Fraction(-y[dim])))
-        rows.append((tuple(-x for x in y[:dim]), Fraction(y[dim])))
+        rows.append((y[:dim], -y[dim]))
+        rows.append((tuple(-x for x in y[:dim]), y[dim]))
     return HPolyhedron(dim, rows)
 
 
-def _as_both(P, dim_cap):
-    if isinstance(P, HPolyhedron):
-        return P, h_to_v(P, dim_cap=dim_cap)
-    return v_to_h(P, dim_cap=dim_cap), P
-
-
 def polyhedron_equal(P, Q, dim_cap=DEFAULT_DIM_CAP):
-    """Exact point-set equality of two polyhedra (H- or V-form)."""
-    hp, vp = _as_both(P, dim_cap)
-    hq, vq = _as_both(Q, dim_cap)
+    """Exact point-set equality of two polyhedra (H- or V-form).  The
+    H-form of P is built only when P lies in Q."""
+    def vform(X):
+        return X if isinstance(X, VPolyhedron) else h_to_v(X, dim_cap=dim_cap)
+
+    def hform(X):
+        return X if isinstance(X, HPolyhedron) else v_to_h(X, dim_cap=dim_cap)
+
+    vp, vq = vform(P), vform(Q)
     if vp.is_empty or vq.is_empty:
         return vp.is_empty and vq.is_empty
-    return _included(vp, hq) and _included(vq, hp)
+    return _included(vp, hform(Q)) and _included(vq, hform(P))
 
 
 def _included(v, h):

@@ -190,7 +190,7 @@ def pl_hat_delta_hrep0(poset, u):
         if hs.phi.kind == "CORNER":
             e = [0] * dim
             e[index[hs.phi.pprime]] = -1
-            rows.append((tuple(e), Fraction(hs.bound)))
+            rows.append((tuple(e), hs.bound))
             continue
         p = hs.phi.p
         has_marked = False
@@ -201,11 +201,11 @@ def pl_hat_delta_hrep0(poset, u):
             e = [0] * dim
             e[index[p]] = 1
             e[index[q]] = -1
-            rows.append((tuple(e), Fraction(hs.bound)))
+            rows.append((tuple(e), hs.bound))
         if has_marked:
             e = [0] * dim
             e[index[p]] = 1
-            rows.append((tuple(e), Fraction(hs.bound)))
+            rows.append((tuple(e), hs.bound))
     return geometry.HPolyhedron(dim, rows)
 
 

@@ -10,7 +10,6 @@ lattice.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from . import geometry, posets
@@ -49,7 +48,7 @@ def build_mco(poset, chart):
     for p in sorted(chart):
         e = [0] * dim
         e[index[p]] = 1
-        rows.append((tuple(e), Fraction(0)))
+        rows.append((tuple(e), 0))
     for a in sorted(endpoints):
         stack = [(a, ())]
         while stack:
@@ -64,7 +63,7 @@ def build_mco(poset, chart):
 
 def _chain_row(poset, index, dim, a, chain, b):
     coeffs = [0] * dim
-    rhs = Fraction(0)
+    rhs = 0
     for p in chain:
         coeffs[index[p]] -= 1
     if poset.is_marked(b):

@@ -1,18 +1,21 @@
 """Acceptance gate: the quick profile of the criteria suite runs once per
 session at seed 0, each criterion is reported as its own pass/fail line, and
-the quick fingerprint is pinned."""
+the quick and full fingerprints are pinned."""
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from polyptych import acceptance, cli
+from polyptych import acceptance, cli, families
 
-# sha256 of `polyptych acceptance --profile quick --seed 0`; a change that
-# moves it must update it and say why.
+# sha256 of `polyptych acceptance --profile quick|full --seed 0`; a change
+# that moves one must update it and say why.
 QUICK_FINGERPRINT = (
     "eb2bc6096af48d02ed4a867118768e8c272e29113dadccaa51539d40fd8b429c")
+FULL_FINGERPRINT = (
+    "4ace3422eedeb24c55dab1b2bc97ad14125c259ae54b254fb61c954fb20053e4")
 
 
 @pytest.fixture(scope="session")
@@ -86,8 +89,39 @@ def test_suite_overall(suite):
     assert suite["ok"]
 
 
-def test_quick_fingerprint(suite):
+def fingerprint(suite):
+    """sha256 of the stdout of `polyptych acceptance` for this suite."""
     payload = {"tool": "polyptych", "version": cli.VERSION}
     payload.update(suite)
     stdout = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    assert hashlib.sha256(stdout.encode()).hexdigest() == QUICK_FINGERPRINT
+    return hashlib.sha256(stdout.encode()).hexdigest()
+
+
+def test_quick_fingerprint(suite):
+    assert fingerprint(suite) == QUICK_FINGERPRINT
+
+
+def test_full_fingerprint():
+    # criterion 7 at full checks 100 exact valuation pairs per family
+    full = acceptance.run_suite(profile="full", seed=0)
+    assert fingerprint(full) == FULL_FINGERPRINT
+
+
+def test_each_pass_builds_the_shared_families_once(monkeypatch):
+    built = Counter()
+    init = families.GTFamily.__init__
+
+    def counting(self, *args):
+        built[args] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(families.GTFamily, "__init__", counting)
+    acceptance.run_once("quick", 0)
+    shared = [("A", 2, (0, 2, 4)), ("C", 2, (2, 4))]
+    # criteria 5 and 11 build C2 again and criterion 11 builds A2 again
+    # for their own n-loops; every other use shares one family
+    assert [built[key] for key in shared] == [2, 3]
+    assert sum(built.values()) == 22
+    built.clear()
+    acceptance.run_suite("quick", 0)   # the second pass builds its own
+    assert [built[key] for key in shared] == [4, 6]

@@ -49,6 +49,19 @@ def test_normal_form_terminates_and_standard(fam_C2, rng):
             assert all(min(a, b) == 0 for _, a, b in m)
 
 
+def test_normal_form_coefficients_are_python_ints(fam_A2, fam_C2, rng):
+    # the inputs verify_valuation draws, and their products
+    for fam in (fam_A2, fam_C2):
+        tails = tails_of(fam)
+        for _ in range(10):
+            f, g = (algebra.normal_form(
+                algebra.random_sparse(rng, fam.poset), tails)
+                for _ in range(2))
+            fg = algebra.multiply(f, g, tails)
+            assert all(type(c) is int
+                       for h in (f, g, fg) for c in h.values())
+
+
 def test_multiply_associative(fam_C2, rng):
     tails = tails_of(fam_C2)
     for _ in range(10):

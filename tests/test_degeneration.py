@@ -1,4 +1,4 @@
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations_with_replacement
 
 import pytest
@@ -64,6 +64,21 @@ def test_chart_valuation_additive(fam_C2, rng):
 def test_ord_divisor_additive(fam_C2, rng):
     rep = degeneration.ord_divisor_check(fam_C2, rng, samples=15)
     assert rep["ok"] and rep["pairs"] > 0
+
+
+def test_hilbert_vs_ehrhart_enumerates_each_chart_once(fam_A2, monkeypatch):
+    poset = fam_A2.poset
+    u = choose_u(poset)
+    seen = Counter()
+    enumerate_ = mco.lattice_points_of_hat_delta
+    monkeypatch.setattr(mco, "lattice_points_of_hat_delta",
+                        lambda p, u, chart, k: seen.update([(chart, k)])
+                        or enumerate_(p, u, chart, k))
+    rep = degeneration.hilbert_vs_ehrhart(poset, u, 2)
+    assert rep["ok"]
+    charts = mco.charts_of(poset)
+    assert set(seen) == {(c, k) for c in charts for k in range(3)}
+    assert set(seen.values()) == {1}
 
 
 def test_small_family_hilbert():

@@ -121,3 +121,31 @@ def test_translation_equivariance(t, x):
 def test_det_transpose_invariant(m):
     mt = [[m[j][i] for j in range(3)] for i in range(3)]
     assert geometry.det(m) == geometry.det(mt)
+
+
+def test_cone_rays_scales_a_rational_halfspace():
+    # x/2 - y/3 >= 0 is the half-plane 3x - 2y >= 0, not the whole plane
+    lin, rays = geometry.cone_rays([(Fraction(1, 2), Fraction(-1, 3))], 2)
+    assert lin == [(2, 3)] and rays == [(1, 0)]
+
+
+def test_v_to_h_rows_are_python_ints():
+    poly = geometry.v_to_h(geometry.VPolyhedron(
+        2, [(0, 0), (2, 1)], rays=[(1, 3)], lineality=[(1, 1)]))
+    assert poly.rows and all(type(c) is int
+                             for a, b in poly.rows for c in (*a, b))
+
+
+def test_polyhedron_equal_builds_second_hrep_only_after_first_inclusion(
+        monkeypatch):
+    built = []
+    v_to_h = geometry.v_to_h
+    monkeypatch.setattr(geometry, "v_to_h",
+                        lambda *a, **kw: built.append(a) or v_to_h(*a, **kw))
+    long = geometry.VPolyhedron(2, [(0, 0), (2, 0)])
+    short = geometry.VPolyhedron(2, [(0, 0), (1, 0)])
+    assert not geometry.polyhedron_equal(long, short)
+    assert len(built) == 1
+    built.clear()
+    assert not geometry.polyhedron_equal(short, long)
+    assert len(built) == 2

@@ -64,3 +64,11 @@ def test_budget_counts_search_nodes():
     assert len(geometry.lattice_points(poly, box, budget=1110)) == 1000
     with pytest.raises(geometry.BoxTooLarge):
         geometry.lattice_points(poly, box, budget=1109)
+
+
+def test_rational_coefficient_is_scaled_not_truncated():
+    # x/2 >= 1 is x >= 2; truncating the coefficient 1/2 to 0 would store
+    # the infeasible 0 >= 1
+    poly = geometry.HPolyhedron(1, [((Fraction(1, 2),), 1)])
+    assert poly.rows == [((1,), 2)]
+    assert geometry.lattice_points(poly, [(-3, 3)]) == [(2,), (3,)]

@@ -55,6 +55,15 @@ def test_enumeration_builds_its_polytope_through_hat_delta(fam_A2,
     assert built == mco.charts_of(fam_A2.poset)
 
 
+def test_hat_delta_rows_are_python_ints(fam_A2, fam_C2):
+    for fam in (fam_A2, fam_C2):
+        u = choose_u(fam.poset)
+        for chart in mco.charts_of(fam.poset):
+            rows = mco.hat_delta(fam.poset, u, chart).rows
+            assert rows and all(type(c) is int
+                                for a, b in rows for c in (*a, b))
+
+
 def test_hat_delta_contains_origin(fam_C2):
     u = choose_u(fam_C2.poset)
     for chart in mco.charts_of(fam_C2.poset):
