@@ -128,7 +128,8 @@ def criterion_5(rng, cfg):
     ok = True
     details = {}
     for n in range(1, cfg["c5_nmax"] + 1):
-        fam = families.GTFamily("C", n, tuple(2 * i for i in range(1, n + 1)))
+        fam = _fam_C2() if n == 2 else families.GTFamily(
+            "C", n, tuple(2 * i for i in range(1, n + 1)))
         lat = lattice.PolyptychLattice(fam.poset)
         functionals = list(lattice.structural_points(fam.poset))
         functionals += [lattice.dual_point(fam, lattice.random_dual(fam, rng))
@@ -192,19 +193,15 @@ def criterion_7(rng, cfg):
 def criterion_8(rng, cfg):
     poset = _fam_C2().poset
     from itertools import product
+    # injective on the radius-4 box, hence on the smaller boxes inside it
     images = set()
     count = 0
-    injective = True
-    for radius in (3, 4):
-        images.clear()
-        count = 0
-        for combo in product(range(-radius, radius + 1),
-                             repeat=len(poset.axis)):
-            m = algebra.mono({p: (max(c, 0), max(-c, 0))
-                              for p, c in zip(poset.axis, combo)})
-            images.add(algebra.monomial_to_m(poset, m))
-            count += 1
-        injective = injective and len(images) == count
+    for combo in product(range(-4, 5), repeat=len(poset.axis)):
+        m = algebra.mono({p: (max(c, 0), max(-c, 0))
+                          for p, c in zip(poset.axis, combo)})
+        images.add(algebra.monomial_to_m(poset, m))
+        count += 1
+    injective = len(images) == count
     surjective = all(
         tuple(z) in images
         for z in product(range(-2, 3), repeat=len(poset.axis)))
@@ -251,9 +248,12 @@ def criterion_11(rng, cfg):
     ok = True
     counts = {}
     for n in range(1, 5):
-        cC = cox.cox_counts(gt_type_C(n, tuple(2 * i
-                                               for i in range(1, n + 1))))
-        cA = cox.cox_counts(gt_type_A(n, tuple(2 * i for i in range(n + 1))))
+        if n == 2:
+            pC, pA = _fam_C2().poset, _fam_A2().poset
+        else:
+            pC = gt_type_C(n, tuple(2 * i for i in range(1, n + 1)))
+            pA = gt_type_A(n, tuple(2 * i for i in range(n + 1)))
+        cC, cA = cox.cox_counts(pC), cox.cox_counts(pA)
         counts[str(n)] = {"C": cC.variables, "A": cA.variables}
         ok = ok and cC.variables == 2 * n * n
         ok = ok and cA.variables == n * (n + 1)

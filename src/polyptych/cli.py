@@ -152,7 +152,6 @@ def _source_options(fn):
                       help="comma-separated marking values")(fn)
     fn = click.option("--poset", type=click.Path(exists=True), default=None,
                       help="marked poset JSON file")(fn)
-    fn = click.option("--seed", type=int, default=0)(fn)
     return fn
 
 
@@ -268,13 +267,14 @@ def hilbert(kmax, **params):
 @_source_options
 @click.option("--pairs", type=click.IntRange(min=1), default=500)
 @click.option("--chart-samples", type=click.IntRange(min=1), default=50)
-def dualcheck(pairs, chart_samples, **params):
+@click.option("--seed", type=int, default=0)
+def dualcheck(pairs, chart_samples, seed, **params):
     """Strict dual pairing: symmetry, injectivity, chart-cone match."""
     fam = _require_family(params)
-    rng = random.Random(params["seed"])
+    rng = random.Random(seed)
     rep = lattice.verify_strict_dual(fam, rng, pairs=pairs,
                                      chart_samples=chart_samples)
-    _emit({"command": "dualcheck", "seed": params["seed"], "report": rep},
+    _emit({"command": "dualcheck", "seed": seed, "report": rep},
           ok=rep["ok"])
 
 
@@ -283,12 +283,13 @@ def dualcheck(pairs, chart_samples, **params):
 @click.option("--samples", type=click.IntRange(min=1), default=100)
 @click.option("--mode", type=click.Choice(["EXACT", "SAMPLED"]),
               default="EXACT")
-def valcheck(samples, mode, **params):
+@click.option("--seed", type=int, default=0)
+def valcheck(samples, mode, seed, **params):
     """Valuation multiplicativity into the semialgebra."""
     fam = _require_family(params)
-    rng = random.Random(params["seed"])
+    rng = random.Random(seed)
     rep = algebra.verify_valuation(fam, rng, samples=samples, mode=mode)
-    _emit({"command": "valcheck", "seed": params["seed"], "mode": mode,
+    _emit({"command": "valcheck", "seed": seed, "mode": mode,
            "report": rep}, ok=rep["ok"])
 
 

@@ -7,10 +7,11 @@ on entry, and the double description works on primitive integer vectors.
 Only the vertices ``h_to_v`` produces are ``Fraction``s; no floating point.
 The double description conversion is a textbook incremental algorithm with
 the combinatorial adjacency test, adequate for the dimensions handled here
-(capped, default 9).  Determinants, ranks and the dual linear extension all
-run through one fraction-free row echelon, ``row_echelon``.
+(at most ``DIM_CAP``).  Determinants, ranks and the dual linear extension
+all run through one fraction-free row echelon, ``row_echelon``.
 
-Lattice-point enumeration runs in the kernel of ``_enum_py``.
+The two resource limits are module constants, read where they are enforced:
+``DIM_CAP`` by ``cone_rays`` and ``ENUM_BUDGET`` by ``lattice_points``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from . import _enum_py
-
-DEFAULT_DIM_CAP = 9
-DEFAULT_ENUM_BUDGET = 50_000_000
+DIM_CAP = 9
+ENUM_BUDGET = 50_000_000
 
 
 class GeometryError(Exception):
@@ -135,29 +134,89 @@ class VPolyhedron:
 # ---------------------------------------------------------------------------
 # lattice-point enumeration
 
-def lattice_points(poly, box, budget=DEFAULT_ENUM_BUDGET):
+def lattice_points(poly, box):
     """All integer points of ``poly`` within ``box``, lexicographically sorted.
 
-    ``box`` is a list of inclusive integer bounds (lo, hi) per axis.
-    Raises BoxTooLarge when the propagated search exceeds ``budget`` nodes.
+    ``box`` is a list of inclusive integer bounds (lo, hi) per axis.  The
+    search is depth-first with per-axis bound propagation against worst-case
+    contributions of the not-yet-fixed coordinates.  Only the rows with a
+    nonzero coefficient on an axis are looked at there, and the innermost
+    axis emits its whole run of points at once.  Every node of the search
+    counts its hi - lo + 1 children; BoxTooLarge is raised when they exceed
+    ``ENUM_BUDGET``.
     """
-    if len(box) != poly.dim:
+    dim = poly.dim
+    if len(box) != dim:
         raise GeometryError("box dimension mismatch")
-    if poly.dim == 0:
+    if dim == 0:
         return [()] if all(b <= 0 for _, b in poly.rows) else []
-    rows_a = [a for a, _ in poly.rows]
-    rows_b = [b for _, b in poly.rows]
     box = [(int(lo), int(hi)) for lo, hi in box]
+    if any(lo > hi for lo, hi in box):
+        return []
+    budget = ENUM_BUDGET
+    # per axis k: (row, a_k, max over the box of sum_{i > k} a_i x_i) for
+    # the rows with a_k != 0
+    active = [[] for _ in range(dim)]
+    # b_r - sum of a_i x_i over the fixed axes
+    need = [b for _, b in poly.rows]
+    for r, (a, _) in enumerate(poly.rows):
+        rest = 0
+        for k in range(dim - 1, -1, -1):
+            if a[k]:
+                active[k].append((r, a[k], rest))
+                lo, hi = box[k]
+                rest += max(a[k] * lo, a[k] * hi)
+        # a row is never looked at before its first nonzero axis, so it is
+        # decided here when it cannot be met even at its maximum
+        if need[r] > rest:
+            return []
+    last = dim - 1
+    out = []
+    nodes = 0
+
+    def descend(k, prefix):
+        nonlocal nodes
+        lo, hi = box[k]
+        rows = active[k]
+        for r, ak, rest in rows:
+            slack = need[r] - rest
+            if ak > 0:
+                q = -((-slack) // ak)  # ceil(slack / ak)
+                if q > lo:
+                    lo = q
+            else:
+                q = slack // ak  # floor(slack / ak) for negative ak
+                if q < hi:
+                    hi = q
+        if lo > hi:
+            return
+        nodes += hi - lo + 1
+        if nodes > budget:
+            raise BoxTooLarge(f"enumeration budget {budget} exceeded")
+        if k == last:
+            out.extend([prefix + (v,) for v in range(lo, hi + 1)])
+            return
+        saved = [(r, ak, need[r]) for r, ak, _ in rows]
+        for v in range(lo, hi + 1):
+            for r, ak, base in saved:
+                need[r] = base - ak * v
+            descend(k + 1, prefix + (v,))
+        for r, _, base in saved:
+            need[r] = base
+
     try:
-        return _enum_py.enumerate_lattice_points(rows_a, rows_b, box, budget)
-    except _enum_py.BudgetExceeded as exc:
-        raise BoxTooLarge(str(exc)) from exc
+        descend(0, ())
+    finally:
+        # descend refers to itself through its closure; without this the
+        # cycle keeps ``out`` alive until the cyclic garbage collector runs
+        del descend
+    return out
 
 
 # ---------------------------------------------------------------------------
 # double description (cone {x : h.x >= 0 for h in halfspaces})
 
-def cone_rays(halfspaces, dim, dim_cap=DEFAULT_DIM_CAP):
+def cone_rays(halfspaces, dim, dim_cap=DIM_CAP):
     """V-description (lineality, extreme rays) of an H-described cone; a
     rational halfspace is scaled to its primitive integer multiple."""
     if dim > dim_cap:
@@ -228,12 +287,12 @@ def _adjacent(common, rp, rm, rays):
     return True
 
 
-def h_to_v(poly, dim_cap=DEFAULT_DIM_CAP):
+def h_to_v(poly):
     """Convert an H-polyhedron to V-form via homogenization."""
     dim = poly.dim
     halfspaces = [(*a, -b) for a, b in poly.rows]
     halfspaces.append(tuple([0] * dim + [1]))  # t >= 0
-    lin, rays = cone_rays(halfspaces, dim + 1, dim_cap=dim_cap + 1)
+    lin, rays = cone_rays(halfspaces, dim + 1, dim_cap=DIM_CAP + 1)
     vertices, rec_rays = [], []
     for r in rays:
         if r[dim] > 0:
@@ -244,7 +303,7 @@ def h_to_v(poly, dim_cap=DEFAULT_DIM_CAP):
     return VPolyhedron(dim, vertices, rec_rays, lineality)
 
 
-def v_to_h(vpoly, dim_cap=DEFAULT_DIM_CAP):
+def v_to_h(vpoly):
     """Convert a V-polyhedron to H-form (dual double description)."""
     if vpoly.is_empty:
         # canonical infeasible system
@@ -260,7 +319,7 @@ def v_to_h(vpoly, dim_cap=DEFAULT_DIM_CAP):
         gens.append(tuple(l) + (0,))
         gens.append(tuple(-x for x in l) + (0,))
     # dual cone {y : y.g >= 0} of the homogenization cone
-    lin, rays = cone_rays(gens, dim + 1, dim_cap=dim_cap + 1)
+    lin, rays = cone_rays(gens, dim + 1, dim_cap=DIM_CAP + 1)
     rows = []
     for y in rays:
         rows.append((y[:dim], -y[dim]))
@@ -270,14 +329,14 @@ def v_to_h(vpoly, dim_cap=DEFAULT_DIM_CAP):
     return HPolyhedron(dim, rows)
 
 
-def polyhedron_equal(P, Q, dim_cap=DEFAULT_DIM_CAP):
+def polyhedron_equal(P, Q):
     """Exact point-set equality of two polyhedra (H- or V-form).  The
     H-form of P is built only when P lies in Q."""
     def vform(X):
-        return X if isinstance(X, VPolyhedron) else h_to_v(X, dim_cap=dim_cap)
+        return X if isinstance(X, VPolyhedron) else h_to_v(X)
 
     def hform(X):
-        return X if isinstance(X, HPolyhedron) else v_to_h(X, dim_cap=dim_cap)
+        return X if isinstance(X, HPolyhedron) else v_to_h(X)
 
     vp, vq = vform(P), vform(Q)
     if vp.is_empty or vq.is_empty:
@@ -298,11 +357,9 @@ def _included(v, h):
     return True
 
 
-def minkowski_sum_hull(points, cone_covectors, dim, dim_cap=DEFAULT_DIM_CAP):
+def minkowski_sum_hull(points, cone_covectors, dim):
     """conv(points) + K* where K* = {x : w.x >= 0 for each covector w}."""
-    if dim > dim_cap:
-        raise DimCapExceeded(f"dimension {dim} exceeds cap {dim_cap}")
-    lin, rays = cone_rays([tuple(w) for w in cone_covectors], dim, dim_cap=dim_cap)
+    lin, rays = cone_rays([tuple(w) for w in cone_covectors], dim)
     return VPolyhedron(dim, points, rays, lin)
 
 

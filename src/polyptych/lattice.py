@@ -4,7 +4,7 @@ description of the centered polytope, and (for the triangular families) the
 dual lattice with its strict pairing.
 
 An element is stored by its coordinate in the all-order chart (chart 0);
-coordinates in other charts are computed on demand and memoized.
+coordinates in other charts are computed on demand by ``mco.mu``.
 """
 
 from __future__ import annotations
@@ -27,18 +27,14 @@ class DualFail(Exception):
 class MElement:
     """Lattice element, identified by its chart-0 coordinate vector."""
 
-    __slots__ = ("lattice", "coord0", "_charts")
+    __slots__ = ("lattice", "coord0")
 
     def __init__(self, lattice, coord0):
         self.lattice = lattice
         self.coord0 = tuple(coord0)
-        self._charts = {frozenset(): self.coord0}
 
     def chart(self, chart):
-        chart = frozenset(chart)
-        if chart not in self._charts:
-            self._charts[chart] = mco.mu(self.lattice.poset, chart, self.coord0)
-        return self._charts[chart]
+        return mco.mu(self.lattice.poset, frozenset(chart), self.coord0)
 
     def scale(self, k):
         if k < 0:

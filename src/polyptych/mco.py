@@ -223,22 +223,20 @@ def _box(poset, u, chart, k):
     return box
 
 
-def lattice_points_of_hat_delta(poset, u, chart, k=1,
-                                budget=geometry.DEFAULT_ENUM_BUDGET):
+def lattice_points_of_hat_delta(poset, u, chart, k=1):
     """The integer points of the k-fold dilation of hat_delta's polytope."""
     chart = frozenset(chart)
     return geometry.lattice_points(hat_delta(poset, u, chart).dilate(k),
-                                   _box(poset, u, chart, k), budget=budget)
+                                   _box(poset, u, chart, k))
 
 
-def verify_transfer_bijection(poset, u, k=1,
-                              budget=geometry.DEFAULT_ENUM_BUDGET):
+def verify_transfer_bijection(poset, u, k=1):
     """Per chart: |k hat-polytope ∩ Z^d| by enumeration vs as the mu-image
     of the chart-0 points; returns a report dict."""
-    base = lattice_points_of_hat_delta(poset, u, frozenset(), k, budget)
+    base = lattice_points_of_hat_delta(poset, u, frozenset(), k)
     report = {"k": k, "charts": {}, "ok": True}
     for chart in charts_of(poset):
-        direct = lattice_points_of_hat_delta(poset, u, chart, k, budget)
+        direct = lattice_points_of_hat_delta(poset, u, chart, k)
         image = sorted(mu(poset, chart, z) for z in base)
         ok = image == direct
         report["charts"][chart_str(chart)] = {

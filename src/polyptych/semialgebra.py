@@ -133,15 +133,3 @@ def sample_functionals(fam, rng, count=60):
     for _ in range(count):
         out.append(lattice.dual_point(fam, lattice.random_dual(fam, rng)))
     return out
-
-
-def equal(a, b, mode="EXACT", fam=None, functionals=None):
-    if mode == "EXACT":
-        if fam is None:
-            raise ValueError("EXACT equality needs a triangular family")
-        return equal_exact(fam, a, b)
-    if mode == "SAMPLED":
-        if functionals is None:
-            raise ValueError("SAMPLED equality needs point functionals")
-        return equal_sampled(a, b, functionals)
-    raise ValueError(f"unknown mode {mode!r}")

@@ -118,10 +118,10 @@ def test_each_pass_builds_the_shared_families_once(monkeypatch):
     monkeypatch.setattr(families.GTFamily, "__init__", counting)
     acceptance.run_once("quick", 0)
     shared = [("A", 2, (0, 2, 4)), ("C", 2, (2, 4))]
-    # criteria 5 and 11 build C2 again and criterion 11 builds A2 again
-    # for their own n-loops; every other use shares one family
-    assert [built[key] for key in shared] == [2, 3]
-    assert sum(built.values()) == 22
+    # criteria 5 and 11 take n = 2 from the shared families too
+    assert [built[key] for key in shared] == [1, 1]
+    assert sum(built.values()) == 19
     built.clear()
     acceptance.run_suite("quick", 0)   # the second pass builds its own
-    assert [built[key] for key in shared] == [4, 6]
+    assert [built[key] for key in shared] == [2, 2]
+    assert sum(built.values()) == 38

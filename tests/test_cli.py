@@ -194,6 +194,15 @@ def test_dim_cap_is_exit_3(runner):
                              "message": "dimension 10 exceeds cap 9"}}
 
 
+def test_seed_only_where_a_command_samples(runner):
+    seeded = {name for name, cmd in main.commands.items()
+              if any(p.name == "seed" for p in cmd.params)}
+    assert seeded == {"dualcheck", "valcheck", "acceptance"}
+    result = runner.invoke(main, ["transfer", "--family", "gtA", "--n", "2",
+                                  "--seed", "0"])
+    assert result.exit_code == 2, result.output
+
+
 def test_enum_budget_is_exit_3(runner, monkeypatch):
     def over_budget(*args, **kwargs):
         raise BoxTooLarge("search exceeded 10 nodes")

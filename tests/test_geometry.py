@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,6 +97,21 @@ def test_h_v_roundtrip_square():
     assert sorted(v.vertices) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     back = geometry.v_to_h(v)
     assert geometry.polyhedron_equal(poly, back)
+
+
+def _simplex(dim):
+    """{x >= 0, sum x <= 1}: dim + 1 vertices."""
+    rows = [(tuple(int(i == j) for j in range(dim)), 0) for i in range(dim)]
+    return geometry.HPolyhedron(dim, rows + [((-1,) * dim, -1)])
+
+
+def test_h_to_v_dimension_cap():
+    # the homogenized cone has one dimension more than the polyhedron, and
+    # the cap applies to the polyhedron
+    cap = geometry.DIM_CAP
+    assert len(geometry.h_to_v(_simplex(cap)).vertices) == cap + 1
+    with pytest.raises(geometry.DimCapExceeded):
+        geometry.h_to_v(_simplex(cap + 1))
 
 
 def test_minkowski_sum_hull_segment():

@@ -57,13 +57,15 @@ def test_points_are_python_ints():
     assert pts and all(type(c) is int for p in pts for c in p)
 
 
-def test_budget_counts_search_nodes():
+def test_budget_counts_search_nodes(monkeypatch):
     # no rows: the search visits 10 + 100 + 1000 nodes of the 10^3 box
     poly = geometry.HPolyhedron(3)
     box = [(0, 9)] * 3
-    assert len(geometry.lattice_points(poly, box, budget=1110)) == 1000
+    monkeypatch.setattr(geometry, "ENUM_BUDGET", 1110)
+    assert len(geometry.lattice_points(poly, box)) == 1000
+    monkeypatch.setattr(geometry, "ENUM_BUDGET", 1109)
     with pytest.raises(geometry.BoxTooLarge):
-        geometry.lattice_points(poly, box, budget=1109)
+        geometry.lattice_points(poly, box)
 
 
 def test_rational_coefficient_is_scaled_not_truncated():

@@ -18,11 +18,7 @@ KEPT = dict.fromkeys([
     "transfer_inverse": "inverse of the transfer bijection, for round trips",
     "chain_poset": "builder listed in the README",
     "oplus": "the addition of the semialgebra",
-    "verify_point_axiom": "the point-axiom check perfbench runs"} | \
-    dict.fromkeys([
-        "polyhedron_equal.dim_cap", "minkowski_sum_hull.dim_cap",
-        "verify_transfer_bijection.budget"],
-        "a named resource limit, reported as exit 3 when exceeded")
+    "verify_point_axiom": "the point-axiom check perfbench runs"}
 
 
 def _names(node):
