@@ -1,8 +1,35 @@
+from functools import cache
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyptych import mco
-from polyptych.posets import choose_u, gt_type_A, gt_type_C
+from polyptych.posets import MarkedPoset, choose_u, gt_type_A, gt_type_C
+
+FAMILIES = {"A2": ("A", 2, (0, 2, 4)), "A3": ("A", 3, (0, 2, 4, 6)),
+            "C1": ("C", 1, (2,)), "C2": ("C", 2, (2, 4))}
+
+
+@cache
+def _poset(name):
+    kind, n, lam = FAMILIES[name]
+    return (gt_type_A if kind == "A" else gt_type_C)(n, lam)
+
+
+def _oracle_report(poset, u, k):
+    """The transfer-bijection report with one mu call per point and chart,
+    each chart's image mapped with that chart's own plan."""
+    base = mco.lattice_points_of_hat_delta(poset, u, frozenset(), k)
+    report = {"k": k, "charts": {}, "ok": True}
+    for chart in mco.charts_of(poset):
+        direct = mco.lattice_points_of_hat_delta(poset, u, chart, k)
+        image = sorted(mco.mu(poset, chart, z) for z in base)
+        ok = image == direct
+        report["charts"][mco.chart_str(chart)] = {
+            "count": len(direct), "image_count": len(set(image)), "match": ok}
+        report["ok"] = report["ok"] and ok and len(direct) == len(base)
+    return report
 
 
 def test_chart_enumeration_size(fam_C2):
@@ -33,6 +60,73 @@ def test_small_c1_count():
     rep = mco.verify_transfer_bijection(p, u, 1)
     assert rep["ok"]
     assert {e["count"] for e in rep["charts"].values()} == {3}
+
+
+def test_transfer_bijection_with_every_element_marked():
+    # d = 0: one chart, whose only point is the empty tuple
+    p = MarkedPoset(["a", "b"], [("a", "b")], {"a": 0, "b": 3})
+    rep = mco.verify_transfer_bijection(p, choose_u(p), 2)
+    assert rep == {"k": 2, "ok": True, "charts": {
+        "": {"count": 1, "image_count": 1, "match": True}}}
+
+
+@pytest.mark.parametrize("name,k", [("A2", 1), ("A2", 2), ("C2", 1),
+                                    ("C1", 1)])
+def test_transfer_bijection_equals_the_per_chart_oracle(name, k):
+    p = _poset(name)
+    u = choose_u(p)
+    assert mco.verify_transfer_bijection(p, u, k) == _oracle_report(p, u, k)
+
+
+def test_dropped_point_fails_with_the_distinct_image_count(fam_A2,
+                                                           monkeypatch):
+    # an enumeration that misses one point: the image no longer matches,
+    # and its count is that of the distinct image points, not of the list
+    p = fam_A2.poset
+    u = choose_u(p)
+    spoiled = frozenset(p.axis[1:])
+    listed = mco.lattice_points_of_hat_delta
+
+    def short(poset, u, chart, k=1):
+        pts = listed(poset, u, chart, k)
+        return pts[:5] + pts[6:] if chart == spoiled else pts
+
+    monkeypatch.setattr(mco, "lattice_points_of_hat_delta", short)
+    rep = mco.verify_transfer_bijection(p, u, 1)
+    assert rep["ok"] is False
+    entries = rep["charts"]
+    assert entries.pop(mco.chart_str(spoiled)) == {
+        "count": 26, "image_count": 27, "match": False}
+    assert all(e == {"count": 27, "image_count": 27, "match": True}
+               for e in entries.values())
+
+
+def test_one_mu_call_per_chart_0_point(fam_C2, monkeypatch):
+    # each chart-0 point is mapped once with the full chart, not once per
+    # chart; mu is reached through the module attribute
+    p = fam_C2.poset
+    u = choose_u(p)
+    charts = []
+    full = mco.mu
+    monkeypatch.setattr(mco, "mu", lambda *a: charts.append(a[1]) or full(*a))
+    mco.verify_transfer_bijection(p, u, 1)
+    base = mco.lattice_points_of_hat_delta(p, u, frozenset(), 1)
+    assert len(charts) == len(base) == 81
+    assert set(charts) == {frozenset(p.axis)}
+
+
+@pytest.mark.parametrize("name", ["C2", "A3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mu_in_a_chart_is_the_full_mu_on_the_chart(name, data):
+    p = _poset(name)
+    d = len(p.axis)
+    x = tuple(data.draw(st.lists(st.integers(-20, 20), min_size=d,
+                                 max_size=d)))
+    full = mco.mu(p, frozenset(p.axis), x)
+    for chart in mco.charts_of(p):
+        assert mco.mu(p, chart, x) == tuple(
+            f if a in chart else c for a, c, f in zip(p.axis, x, full))
 
 
 def test_dilation_count_a2(fam_A2):
