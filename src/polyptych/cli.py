@@ -209,11 +209,11 @@ def polytope(chart, k, **params):
     chart = _parse_chart(chart, poset)
     u = _shift(poset)
     hd = mco.hat_delta(poset, u, chart)
-    points = mco.lattice_points_of_hat_delta(poset, u, chart, k)
+    count = mco.count_lattice_points_of_hat_delta(poset, u, chart, k)
     _emit({"command": "polytope", "chart": mco.chart_str(chart), "k": k,
            "u": dict(sorted(u.u.items())),
            "hrep": hd.dilate(k).to_json(),
-           "lattice_points": len(points)})
+           "lattice_points": count})
 
 
 @main.command()
@@ -221,7 +221,7 @@ def polytope(chart, k, **params):
 @click.option("--k", type=click.IntRange(min=0), default=1)
 def transfer(k, **params):
     """Transfer bijection check: every chart count equals the chart-0
-    count, with the map image matching the direct enumeration."""
+    count, with the map image inside the chart polytope."""
     poset, _ = _load_poset(params)
     u = _shift(poset)
     rep = mco.verify_transfer_bijection(poset, u, k)

@@ -50,8 +50,8 @@ def hilbert_vs_ehrhart(poset, u, kmax, generation_kmax=2):
         pieces[k] = piece
         counts = {"": piece.dimension}  # chart 0's points are gamma's basis
         for chart in mco.charts_of(poset)[1:]:
-            counts[mco.chart_str(chart)] = len(
-                mco.lattice_points_of_hat_delta(poset, u, chart, k))
+            counts[mco.chart_str(chart)] = (
+                mco.count_lattice_points_of_hat_delta(poset, u, chart, k))
         agree = all(c == piece.dimension for c in counts.values())
         report["rows"].append({"k": k, "dimension": piece.dimension,
                                "chart_counts": counts, "agree": agree})

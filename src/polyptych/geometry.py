@@ -11,7 +11,8 @@ the combinatorial adjacency test, adequate for the dimensions handled here
 all run through one fraction-free row echelon, ``row_echelon``.
 
 The two resource limits are module constants, read where they are enforced:
-``DIM_CAP`` by ``cone_rays`` and ``ENUM_BUDGET`` by ``lattice_points``.
+``DIM_CAP`` by ``cone_rays`` and ``ENUM_BUDGET`` by ``lattice_points`` and
+``count_lattice_points``.
 """
 
 from __future__ import annotations
@@ -134,6 +135,51 @@ class VPolyhedron:
 # ---------------------------------------------------------------------------
 # lattice-point enumeration
 
+def _search_table(poly, box):
+    """The set-up shared by ``lattice_points`` and ``count_lattice_points``:
+    ``(box, active, need)``, or None when the box is empty or some row
+    cannot be met even at its maximum over the box.
+
+    ``active[k]`` holds ``(row, a_k, max over the box of sum_{i > k} a_i
+    x_i)`` for the rows with a_k != 0, and ``need`` holds the right-hand
+    sides b, which the search lowers by a_i x_i as it fixes axis i.
+    """
+    if len(box) != poly.dim:
+        raise GeometryError("box dimension mismatch")
+    box = [(int(lo), int(hi)) for lo, hi in box]
+    if any(lo > hi for lo, hi in box):
+        return None
+    active = [[] for _ in box]
+    need = [b for _, b in poly.rows]
+    for r, (a, _) in enumerate(poly.rows):
+        rest = 0
+        for k in range(poly.dim - 1, -1, -1):
+            if a[k]:
+                active[k].append((r, a[k], rest))
+                lo, hi = box[k]
+                rest += max(a[k] * lo, a[k] * hi)
+        # a row is never looked at before its first nonzero axis, so it is
+        # decided here when it cannot be met even at its maximum
+        if need[r] > rest:
+            return None
+    return box, active, need
+
+
+def _bounds(lo, hi, rows, need):
+    """The range of x_k within [lo, hi] that the rows active at k allow."""
+    for r, ak, rest in rows:
+        slack = need[r] - rest
+        if ak > 0:
+            q = -((-slack) // ak)  # ceil(slack / ak)
+            if q > lo:
+                lo = q
+        else:
+            q = slack // ak  # floor(slack / ak) for negative ak
+            if q < hi:
+                hi = q
+    return lo, hi
+
+
 def lattice_points(poly, box):
     """All integer points of ``poly`` within ``box``, lexicographically sorted.
 
@@ -145,49 +191,21 @@ def lattice_points(poly, box):
     counts its hi - lo + 1 children; BoxTooLarge is raised when they exceed
     ``ENUM_BUDGET``.
     """
-    dim = poly.dim
-    if len(box) != dim:
-        raise GeometryError("box dimension mismatch")
-    if dim == 0:
-        return [()] if all(b <= 0 for _, b in poly.rows) else []
-    box = [(int(lo), int(hi)) for lo, hi in box]
-    if any(lo > hi for lo, hi in box):
+    table = _search_table(poly, box)
+    if table is None:
         return []
+    if not poly.dim:
+        return [()]
+    box, active, need = table
     budget = ENUM_BUDGET
-    # per axis k: (row, a_k, max over the box of sum_{i > k} a_i x_i) for
-    # the rows with a_k != 0
-    active = [[] for _ in range(dim)]
-    # b_r - sum of a_i x_i over the fixed axes
-    need = [b for _, b in poly.rows]
-    for r, (a, _) in enumerate(poly.rows):
-        rest = 0
-        for k in range(dim - 1, -1, -1):
-            if a[k]:
-                active[k].append((r, a[k], rest))
-                lo, hi = box[k]
-                rest += max(a[k] * lo, a[k] * hi)
-        # a row is never looked at before its first nonzero axis, so it is
-        # decided here when it cannot be met even at its maximum
-        if need[r] > rest:
-            return []
-    last = dim - 1
+    last = poly.dim - 1
     out = []
     nodes = 0
 
     def descend(k, prefix):
         nonlocal nodes
-        lo, hi = box[k]
         rows = active[k]
-        for r, ak, rest in rows:
-            slack = need[r] - rest
-            if ak > 0:
-                q = -((-slack) // ak)  # ceil(slack / ak)
-                if q > lo:
-                    lo = q
-            else:
-                q = slack // ak  # floor(slack / ak) for negative ak
-                if q < hi:
-                    hi = q
+        lo, hi = _bounds(*box[k], rows, need)
         if lo > hi:
             return
         nodes += hi - lo + 1
@@ -211,6 +229,93 @@ def lattice_points(poly, box):
         # cycle keeps ``out`` alive until the cyclic garbage collector runs
         del descend
     return out
+
+
+def count_lattice_points(poly, box):
+    """``len(lattice_points(poly, box))``, without listing the points.
+
+    The search is that of ``lattice_points`` with each subtree's count
+    memoized, a dynamic program over the search tree in the spirit of
+    LattE's counting (De Loera et al., J. Symb. Comp. 2004).  The subtree
+    below depth k reads only the residual ``need`` of the rows that span
+    depth k, i.e. have nonzero coefficients both before k and at or after
+    k; every other row it reads still has need = b.  So (k, those residuals)
+    is the key.  A residual at or below the row's least value over the box
+    of sum_{i >= k} a_i x_i cannot bind there, and the key holds that least
+    value instead.  The nodes visited, memo hits excluded, are charged to
+    ``ENUM_BUDGET`` as in ``lattice_points``.
+    """
+    table = _search_table(poly, box)
+    if table is None:
+        return 0
+    if not poly.dim:
+        return 1
+    box, active, need = table
+    budget = ENUM_BUDGET
+    last = poly.dim - 1
+    # per depth k < last, the rows spanning k and, for each, its least value
+    # over the box of sum_{i >= k} a_i x_i; built from the last axis down
+    # like rest
+    span = [([], []) for _ in range(last)]
+    for r, (a, _) in enumerate(poly.rows):
+        first = next((i for i, c in enumerate(a) if c), last)
+        least, started = 0, False
+        for k in range(last, first, -1):
+            if a[k]:
+                lo, hi = box[k]
+                least += min(a[k] * lo, a[k] * hi)
+                started = True
+            if started and k < last:
+                span[k][0].append(r)
+                span[k][1].append(least)
+    memo = [{} for _ in range(last)]
+    inner, (ilo, ihi) = active[last], box[last]
+    nodes = 0
+    residual = need.__getitem__
+
+    def count(k):
+        nonlocal nodes
+        spanning, floors = span[k]
+        key = tuple(map(max, map(residual, spanning), floors))
+        total = memo[k].get(key)
+        if total is not None:
+            return total
+        rows = active[k]
+        lo, hi = _bounds(*box[k], rows, need)
+        total = 0
+        if lo <= hi:
+            nodes += hi - lo + 1
+            if nodes > budget:
+                raise BoxTooLarge(f"enumeration budget {budget} exceeded")
+            saved = [(r, ak, need[r]) for r, ak, _ in rows]
+            for v in range(lo, hi + 1):
+                for r, ak, base in saved:
+                    need[r] = base - ak * v
+                if k + 1 < last:
+                    total += count(k + 1)
+                else:  # the last axis: its run of points, counted
+                    a, b = _bounds(ilo, ihi, inner, need)
+                    if a <= b:
+                        total += b - a + 1
+            for r, _, base in saved:
+                need[r] = base
+            if k + 1 == last:
+                nodes += total
+                if nodes > budget:
+                    raise BoxTooLarge(f"enumeration budget {budget} exceeded")
+        memo[k][key] = total
+        return total
+
+    if not last:
+        lo, hi = _bounds(ilo, ihi, inner, need)
+        if hi - lo + 1 > budget:
+            raise BoxTooLarge(f"enumeration budget {budget} exceeded")
+        return max(hi - lo + 1, 0)
+    try:
+        return count(0)
+    finally:
+        # count refers to itself through its closure, as descend does
+        del count
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ lattice.
 
 from __future__ import annotations
 
-from itertools import combinations
-from operator import itemgetter
+from functools import cache
+from itertools import combinations, repeat
+from math import inf
+from operator import add, mul
 
 from . import geometry, posets
 from .posets import PosetError
@@ -92,7 +94,12 @@ def _chain_row(poset, index, dim, a, chain, b):
 # The forward maps read only their input x, so for every chart C
 #   mu(poset, C, x)[i] = mu(poset, full, x)[i] if axis[i] in C, else x[i];
 # verify_transfer_bijection therefore maps each point once, with the full
-# chart, and reads every chart's image from that.
+# chart, and reads every chart's image from that.  The full mu plan is
+# triangular: each entry reads only x_q of lower covers q, which sort before
+# it.  So is every chart's plan, a restriction of it, and mu_C is injective
+# on Z^d: given y = mu_C(x), walking the plan in order recovers x_p as
+# y_p - m_p(x) from the x_q already recovered (x_q = y_q for q not in C),
+# which is what mu_inverse does.
 
 def _plans(poset, chart):
     """(transfer plan, mu plan) of a frozenset chart: rank-ordered tuples of
@@ -228,51 +235,88 @@ def _box(poset, u, chart, k):
     return box
 
 
+def _dilated(poset, u, chart, k):
+    """The k-fold dilation of hat_delta's polytope and its integer box."""
+    chart = frozenset(chart)
+    return hat_delta(poset, u, chart).dilate(k), _box(poset, u, chart, k)
+
+
 def lattice_points_of_hat_delta(poset, u, chart, k=1):
     """The integer points of the k-fold dilation of hat_delta's polytope."""
-    chart = frozenset(chart)
-    return geometry.lattice_points(hat_delta(poset, u, chart).dilate(k),
-                                   _box(poset, u, chart, k))
+    return geometry.lattice_points(*_dilated(poset, u, chart, k))
 
 
-def _getter(idx):
-    """t -> tuple(t[i] for i in idx), one C call when idx has two or more
-    entries (itemgetter returns a bare item for one index and takes no
-    empty index list)."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    return lambda t: tuple(t[i] for i in idx)
+def count_lattice_points_of_hat_delta(poset, u, chart, k):
+    """The number of those points, counted without listing them."""
+    return geometry.count_lattice_points(*_dilated(poset, u, chart, k))
+
+
+def _triangular(plan):
+    """Whether every entry of a plan reads only axes placed before it."""
+    placed = set()
+    for i, lower, _ in plan:
+        if not placed.issuperset(lower):
+            return False
+        placed.add(i)
+    return True
+
+
+def _least(columns, form, size):
+    """The least value over the size stored points of a linear form given
+    as (column, coefficient) pairs, where columns[j] holds coordinate j of
+    every point; inf when there are no points."""
+    if not size:
+        return inf
+    values = None
+    for j, c in form:
+        term = columns[j] if c == 1 else map(mul, repeat(c), columns[j])
+        values = term if values is None else map(add, values, term)
+    return 0 if values is None else min(values)
 
 
 def verify_transfer_bijection(poset, u, k=1):
-    """Per chart: |k hat-polytope ∩ Z^d| by enumeration vs as the mu-image
-    of the chart-0 points; returns a report dict.
+    """Per chart C: the count of k times the chart-C polytope, and whether
+    mu_C maps the chart-0 points onto its points; returns a report dict.
 
-    Each chart-0 point z is mapped once, with the full chart: mu(poset, C, z)
-    equals mu(poset, full, z) on the coordinates in C and z elsewhere, so
-    the chart-C image picks its coordinates from the 2d-tuple
-    z + mu(poset, full, z).  The enumeration is strictly increasing, so an
-    image equal to it has len(direct) distinct points; only a mismatch
-    counts the distinct image points.
+    Only chart 0 is listed.  Each chart-0 point z is mapped once, with the
+    full chart: mu(poset, C, z) equals mu(poset, full, z) on the coordinates
+    in C and z elsewhere, so the chart-C image is a pick of d of the 2d
+    stored columns of (z, mu(poset, full, z)).  Every other chart's points
+    are counted, not listed.
+
+    Why the check holds: when the full mu plan is triangular, mu_C is
+    injective on Z^d (see the transfer-maps comment), so the n chart-0
+    points have n distinct images.  If every row's and box bound's least
+    value over the image meets its bound (inside), the image is n of the
+    chart's count points, and it is all of them exactly when count == n.
+    So match ⇔ inside ∧ count == n, and image_count is n.  A least value
+    depends only on the row's coefficients on the 2d columns, so it is
+    computed once per such form and call.  A plan that is not triangular
+    falls back to the distinct image count, which must then be n as well.
     """
     axis = poset.axis
     full = frozenset(axis)
-    base = lattice_points_of_hat_delta(poset, u, frozenset(), k)
-    count = len(base)
-    pairs = [z + mu(poset, full, z) for z in base]
-    del base
     d = len(axis)
+    base = lattice_points_of_hat_delta(poset, u, frozenset(), k)
+    n = len(base)
+    columns = [*zip(*base), *zip(*[mu(poset, full, z) for z in base])]
+    del base
+    injective = _triangular(_plans(poset, full)[1])
+    least = cache(lambda form: _least(columns, form, n))
     report = {"k": k, "charts": {}, "ok": True}
     for chart in charts_of(poset):
-        direct = lattice_points_of_hat_delta(poset, u, chart, k)
-        pick = _getter([i + d if p in chart else i
-                        for i, p in enumerate(axis)])
-        image = sorted(map(pick, pairs))
-        ok = image == direct
+        poly, box = _dilated(poset, u, chart, k)
+        count = geometry.count_lattice_points(poly, box)
+        pick = [i + d if p in chart else i for i, p in enumerate(axis)]
+        forms = [(tuple((j, c) for j, c in zip(pick, a) if c), b)
+                 for a, b in poly.rows]
+        for j, (lo, hi) in zip(pick, box):
+            forms += [(((j, 1),), lo), (((j, -1),), -hi)]
+        inside = all(least(form) >= b for form, b in forms)
+        distinct = n if injective else len(set(zip(*(columns[j]
+                                                      for j in pick))))
+        ok = inside and count == n == distinct
         report["charts"][chart_str(chart)] = {
-            "count": len(direct),
-            "image_count": len(direct) if ok else len(set(image)),
-            "match": ok}
-        report["ok"] = report["ok"] and ok and len(direct) == count
-        del direct, image
+            "count": count, "image_count": distinct, "match": ok}
+        report["ok"] = report["ok"] and ok
     return report

@@ -67,18 +67,24 @@ def test_ord_divisor_additive(fam_C2, rng):
 
 
 def test_hilbert_vs_ehrhart_enumerates_each_chart_once(fam_A2, monkeypatch):
+    # gamma lists chart 0 for its basis; every other chart is only counted
     poset = fam_A2.poset
     u = choose_u(poset)
-    seen = Counter()
+    listed, counted = Counter(), Counter()
     enumerate_ = mco.lattice_points_of_hat_delta
+    count_ = mco.count_lattice_points_of_hat_delta
     monkeypatch.setattr(mco, "lattice_points_of_hat_delta",
-                        lambda p, u, chart, k: seen.update([(chart, k)])
+                        lambda p, u, chart, k: listed.update([(chart, k)])
                         or enumerate_(p, u, chart, k))
+    monkeypatch.setattr(mco, "count_lattice_points_of_hat_delta",
+                        lambda p, u, chart, k: counted.update([(chart, k)])
+                        or count_(p, u, chart, k))
     rep = degeneration.hilbert_vs_ehrhart(poset, u, 2)
     assert rep["ok"]
     charts = mco.charts_of(poset)
-    assert set(seen) == {(c, k) for c in charts for k in range(3)}
-    assert set(seen.values()) == {1}
+    assert set(listed) == {(frozenset(), k) for k in range(3)}
+    assert set(counted) == {(c, k) for c in charts[1:] for k in range(3)}
+    assert set(listed.values()) == set(counted.values()) == {1}
 
 
 def test_small_family_hilbert():

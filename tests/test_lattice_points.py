@@ -1,4 +1,5 @@
-"""The enumeration kernel against a brute-force filter of the box."""
+"""The enumeration kernel against a brute-force filter of the box, and the
+counting kernel against the enumeration."""
 
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyptych import geometry
+from polyptych import geometry, mco
+from polyptych.posets import choose_u, gt_type_A, gt_type_C
 
 
 def brute_force(poly, box):
@@ -74,3 +76,47 @@ def test_rational_coefficient_is_scaled_not_truncated():
     poly = geometry.HPolyhedron(1, [((Fraction(1, 2),), 1)])
     assert poly.rows == [((1,), 2)]
     assert geometry.lattice_points(poly, [(-3, 3)]) == [(2,), (3,)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+@example((geometry.HPolyhedron(0), []))
+@example((geometry.HPolyhedron(0, [((), 0)]), []))
+@example((geometry.HPolyhedron(0, [((), Fraction(1, 2))]), []))
+@example((geometry.HPolyhedron(2, [((0, 0), Fraction(1))]), [(0, 2), (0, 2)]))
+@example((geometry.HPolyhedron(2, [((1, -1), 1), ((0, 1), -1)]),
+          [(0, 2), (3, 1)]))
+@example((geometry.HPolyhedron(4, [((1, 0, 0, -1), 0), ((0, 1, -1, 0), 0),
+                                   ((1, 1, 1, 1), 3)]),
+          [(-2, 2)] * 4))
+def test_count_is_the_number_of_listed_points(system):
+    poly, box = system
+    assert geometry.count_lattice_points(poly, box) == len(
+        geometry.lattice_points(poly, box))
+
+
+@pytest.mark.parametrize("poset, ks", [
+    (gt_type_A(2, (0, 2, 4)), (0, 1, 2)),
+    (gt_type_C(2, (2, 4)), (0, 1, 2)),
+    (gt_type_A(3, (0, 2, 4, 6)), (1, 2)),
+], ids=["A2", "C2", "A3"])
+def test_count_is_the_number_of_listed_points_on_every_chart(poset, ks):
+    u = choose_u(poset)
+    for k in ks:
+        for chart in mco.charts_of(poset):
+            assert mco.count_lattice_points_of_hat_delta(
+                poset, u, chart, k) == len(
+                mco.lattice_points_of_hat_delta(poset, u, chart, k))
+
+
+def test_count_budget_counts_visited_nodes(monkeypatch):
+    # no rows: every subtree below the root has the same key, so the
+    # counter visits 10 root children, then 10 + 100 nodes of one subtree
+    poly = geometry.HPolyhedron(3)
+    box = [(0, 9)] * 3
+    monkeypatch.setattr(geometry, "ENUM_BUDGET", 120)
+    assert geometry.count_lattice_points(poly, box) == 1000
+    monkeypatch.setattr(geometry, "ENUM_BUDGET", 119)
+    with pytest.raises(geometry.BoxTooLarge,
+                       match="enumeration budget 119 exceeded"):
+        geometry.count_lattice_points(poly, box)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyptych import mco
+from polyptych import geometry, mco
 from polyptych.posets import MarkedPoset, choose_u, gt_type_A, gt_type_C
 
 FAMILIES = {"A2": ("A", 2, (0, 2, 4)), "A3": ("A", 3, (0, 2, 4, 6)),
@@ -71,7 +71,7 @@ def test_transfer_bijection_with_every_element_marked():
 
 
 @pytest.mark.parametrize("name,k", [("A2", 1), ("A2", 2), ("C2", 1),
-                                    ("C1", 1)])
+                                    ("C2", 2), ("C1", 1), ("A3", 1)])
 def test_transfer_bijection_equals_the_per_chart_oracle(name, k):
     p = _poset(name)
     u = choose_u(p)
@@ -80,18 +80,19 @@ def test_transfer_bijection_equals_the_per_chart_oracle(name, k):
 
 def test_dropped_point_fails_with_the_distinct_image_count(fam_A2,
                                                            monkeypatch):
-    # an enumeration that misses one point: the image no longer matches,
-    # and its count is that of the distinct image points, not of the list
+    # a count that misses one point: the image no longer matches, and its
+    # count is that of the distinct image points, not the chart's count
     p = fam_A2.poset
     u = choose_u(p)
     spoiled = frozenset(p.axis[1:])
-    listed = mco.lattice_points_of_hat_delta
+    spoiled_rows = mco.hat_delta(p, u, spoiled).rows
+    counted = geometry.count_lattice_points
 
-    def short(poset, u, chart, k=1):
-        pts = listed(poset, u, chart, k)
-        return pts[:5] + pts[6:] if chart == spoiled else pts
+    def short(poly, box):
+        count = counted(poly, box)
+        return count - 1 if poly.rows == spoiled_rows else count
 
-    monkeypatch.setattr(mco, "lattice_points_of_hat_delta", short)
+    monkeypatch.setattr(geometry, "count_lattice_points", short)
     rep = mco.verify_transfer_bijection(p, u, 1)
     assert rep["ok"] is False
     entries = rep["charts"]
@@ -99,6 +100,84 @@ def test_dropped_point_fails_with_the_distinct_image_count(fam_A2,
         "count": 26, "image_count": 27, "match": False}
     assert all(e == {"count": 27, "image_count": 27, "match": True}
                for e in entries.values())
+
+
+def _raise_one_row(monkeypatch, spoiled):
+    """Make hat_delta of the spoiled chart demand one more of its third row,
+    so that some image points leave it."""
+    built = mco.hat_delta
+
+    def raised(poset, u, chart):
+        poly = built(poset, u, chart)
+        if chart != spoiled:
+            return poly
+        rows = list(poly.rows)
+        a, b = rows[2]
+        rows[2] = (a, b + 1)
+        return geometry.HPolyhedron(poly.dim, rows)
+
+    monkeypatch.setattr(mco, "hat_delta", raised)
+
+
+def test_raised_row_fails_the_containment(fam_A2, monkeypatch):
+    p = fam_A2.poset
+    u = choose_u(p)
+    spoiled = frozenset(p.axis[1:])
+    _raise_one_row(monkeypatch, spoiled)
+    rep = mco.verify_transfer_bijection(p, u, 1)
+    assert rep == _oracle_report(p, u, 1)
+    assert rep["ok"] is False
+    entries = rep["charts"]
+    assert entries.pop(mco.chart_str(spoiled)) == {
+        "count": 21, "image_count": 27, "match": False}
+    assert all(e["match"] for e in entries.values())
+
+
+def test_containment_alone_fails_a_raised_row(fam_A2, monkeypatch):
+    # the raised chart's count is reported as the chart-0 count, so only
+    # the image leaving the polytope can fail the chart
+    p = fam_A2.poset
+    u = choose_u(p)
+    spoiled = frozenset(p.axis[1:])
+    _raise_one_row(monkeypatch, spoiled)
+    monkeypatch.setattr(geometry, "count_lattice_points", lambda *a: 27)
+    rep = mco.verify_transfer_bijection(p, u, 1)
+    assert rep["ok"] is False
+    entries = rep["charts"]
+    assert entries.pop(mco.chart_str(spoiled)) == {
+        "count": 27, "image_count": 27, "match": False}
+    assert all(e["match"] for e in entries.values())
+
+
+def test_plan_reading_a_later_axis_falls_back_to_distinct_images(
+        monkeypatch):
+    # the first entry of the full mu plan reads the axis placed second, so
+    # mu need not be injective and the distinct image points are counted
+    p = gt_type_A(2, (0, 2, 4))  # a fresh poset: the plan memo is spoiled
+    u = choose_u(p)
+    full = frozenset(p.axis)
+    plans = mco._plans
+
+    def cyclic(poset, chart):
+        transfer_plan, mu_plan = plans(poset, chart)
+        if chart == full:
+            (i, _, _), *rest = mu_plan
+            mu_plan = ((i, (rest[0][0],), None), *rest)
+        return transfer_plan, mu_plan
+
+    monkeypatch.setattr(mco, "_plans", cyclic)
+    assert not mco._triangular(mco._plans(p, full)[1])
+    rep = mco.verify_transfer_bijection(p, u, 1)
+    assert rep == _oracle_report(p, u, 1)
+    assert rep["ok"] is False
+    assert rep["charts"]["q12,q21"] == {
+        "count": 27, "image_count": 12, "match": False}
+
+
+def test_full_mu_plans_are_triangular():
+    for name in FAMILIES:
+        p = _poset(name)
+        assert mco._triangular(mco._plans(p, frozenset(p.axis))[1])
 
 
 def test_one_mu_call_per_chart_0_point(fam_C2, monkeypatch):

@@ -77,3 +77,17 @@ def test_acceptance_expected_counts_are_weyl_dimensions():
     expected_2 = acceptance.criterion_2(None, cfg)["expected_k1"]
     assert expected_1 == weyl_dimension("A", (0, 2, 4)) == 27
     assert expected_2 == weyl_dimension("C", (2, 4)) == 81
+
+
+@pytest.mark.parametrize("family, n, lam, ks", [
+    ("A", 3, (0, 2, 4, 6), (3,)),
+    ("C", 2, (2, 4), (0, 1, 2, 3)),
+])
+def test_every_chart_count_is_weyl_dimension_without_listing(family, n, lam,
+                                                             ks):
+    poset = families.GTFamily(family, n, lam).poset
+    u = choose_u(poset)
+    for k in ks:
+        expect = weyl_dimension(family, lam, k)
+        assert {mco.count_lattice_points_of_hat_delta(poset, u, chart, k)
+                for chart in mco.charts_of(poset)} == {expect}
