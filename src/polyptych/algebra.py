@@ -12,6 +12,7 @@ monomial keys to nonzero coefficients, ints unless an input is rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from . import geometry, lattice, semialgebra
 from .posets import classify_spade, graded_structure
@@ -280,20 +281,18 @@ def jacobian_rank_at_samples(poset, rng, count=50, extra_points=()):
     tails = build_relations(poset)
     n = len(poset.axis)
     report = {"points": 0, "rank": n, "ok": True}
-    for _ in range(count):
-        xvals = {p: Fraction(rng.randint(1, 9) * rng.choice([-1, 1]),
-                             rng.randint(1, 4)) for p in poset.axis}
-        yvals = solve_variety_point(poset, tails, xvals)
+
+    def sampled():
+        for _ in range(count):
+            xvals = {p: Fraction(rng.randint(1, 9) * rng.choice([-1, 1]),
+                                 rng.randint(1, 4)) for p in poset.axis}
+            yield xvals, solve_variety_point(poset, tails, xvals)
+
+    for xvals, yvals in chain(sampled(), extra_points):
         if any(v != 0 for v in evaluate_relations(poset, tails, xvals, yvals)):
-            raise RankFail("sample point not on the variety")
+            raise RankFail(f"point {xvals}, {yvals} not on the variety")
         if geometry.rank(jacobian_matrix(poset, tails, xvals, yvals)) != n:
-            raise RankFail(f"rank drop at {xvals}")
-        report["points"] += 1
-    for xvals, yvals in extra_points:
-        if any(v != 0 for v in evaluate_relations(poset, tails, xvals, yvals)):
-            raise RankFail("supplied point not on the variety")
-        if geometry.rank(jacobian_matrix(poset, tails, xvals, yvals)) != n:
-            raise RankFail("rank drop at supplied degenerate point")
+            raise RankFail(f"rank drop at {xvals}, {yvals}")
         report["points"] += 1
     return report
 

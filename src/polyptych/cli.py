@@ -28,13 +28,14 @@ FAMILY_NAMES = {"gtA": "A", "gta": "A", "A": "A",
                 "gtC": "C", "gtc": "C", "C": "C"}
 
 
-def _parse_lambda(text):
+def _parse_ints(text, what):
+    """A comma-separated integer list; the usage error names ``what``."""
     if not text:
         return ()
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise click.UsageError(f"bad marking list {text!r}")
+        raise click.UsageError(f"bad {what} {text!r}")
 
 
 def _parse_chart(text, poset):
@@ -49,22 +50,13 @@ def _parse_chart(text, poset):
     return chart
 
 
-def _parse_vector(text):
-    if not text:
-        return ()
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise click.UsageError(f"bad vector {text!r}")
-
-
 def _load_family(family, n, lam):
     name = FAMILY_NAMES.get(family)
     if name is None:
         raise click.UsageError(f"unknown family {family!r}")
     if n is None:
         raise click.UsageError("--n is required with --family")
-    lam = _parse_lambda(lam)
+    lam = _parse_ints(lam, "marking list")
     if not lam:
         if name == "C":
             lam = tuple(2 * i for i in range(1, n + 1))
@@ -238,7 +230,7 @@ def mutate(chart1, chart2, vector, **params):
     poset, _ = _load_poset(params)
     _validated(poset)
     lat = lattice.PolyptychLattice(poset)
-    vec = _parse_vector(vector)
+    vec = _parse_ints(vector, "vector")
     if len(vec) != lat.dim:
         raise click.UsageError(f"vector needs {lat.dim} coordinates")
     image = lat.mutate(_parse_chart(chart1, poset),

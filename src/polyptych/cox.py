@@ -1,7 +1,7 @@
 """Cox-ring combinatorics: unit-rank and boundary-divisor counts, semigroup
 generators for the per-cone divisor semigroups with unimodularity
-certificates, the binomial-plus-tail presentation with its elimination to a
-polynomial ring, and the boundary-unit exponent patterns.
+certificates, and the binomial-plus-tail presentation with its elimination
+to a polynomial ring.
 """
 
 from __future__ import annotations
@@ -11,10 +11,6 @@ from dataclasses import dataclass
 from . import algebra, geometry, lattice
 from .geometry import UnimodularityFail
 from .posets import classify_spade
-
-
-class PatternFail(Exception):
-    pass
 
 
 class Unsupported(Exception):
@@ -102,29 +98,21 @@ def generator_vectors(fam, eps, points):
         gens.append((f"e_{divisor_label(pt)}", _xvec(fam, []),
                      _rvec(fam, points, [(k, 1)])))
     for s, (i, j) in enumerate(fam.units, start=1):
-        x = _xvec(fam, [((i, l), 1) for (i, l) in _row_positions(fam, i, j)])
+        row = _row_positions(fam, i, j)
+        x = _xvec(fam, [(ij, 1) for ij in row])
         r = _rvec(fam, points,
-                  [((i, l), -1) for (i, l) in _row_positions(fam, i, j)]
-                  + [((i + 1, l), 1)
-                     for (_, l) in _row_positions(fam, i + 1, j - 1)]
+                  [(ij, -1) for ij in row]
+                  + [(ij, 1) for ij in _row_positions(fam, i + 1, j - 1)]
                   + [(_corner_index(fam, points, i, j), 1)])
         gens.append((f"v_{s}", x, r))
         gens.append((f"-v_{s}", [-c for c in x], [-c for c in r]))
     for (i, j) in fam.pihat:
         e = eps[(i, j)]
         row = _row_positions(fam, i, j)
-        if e == 1:
-            x = _xvec(fam, [((i, l), 1) for (i, l) in row])
-            r = _rvec(fam, points,
-                      [((i, l), -1) for (i, l) in row]
-                      + [((i + 1, l), 1)
-                         for (_, l) in _row_positions(fam, i + 1, j)])
-        else:
-            x = _xvec(fam, [((i, l), -1) for (i, l) in row])
-            r = _rvec(fam, points,
-                      [((i, l), 1) for (i, l) in row]
-                      + [((i + 1, l), -1)
-                         for (_, l) in _row_positions(fam, i + 1, j - 1)])
+        above = _row_positions(fam, i + 1, j if e == 1 else j - 1)
+        x = _xvec(fam, [(ij, e) for ij in row])
+        r = _rvec(fam, points, [(ij, -e) for ij in row]
+                  + [(ij, e) for ij in above])
         gens.append((f"f_{fam.positions[(i, j)]},{e:+d}", x, r))
     return gens
 
@@ -235,25 +223,6 @@ def all_sign_vectors(fam):
             for combo in product((1, -1), repeat=len(fam.pihat))]
 
 
-def verify_f_pair_identity(fam):
-    """f_{q,+1} + f_{q,-1} equals the divisor unit vector above q."""
-    points = lattice.structural_points(fam.poset)
-    plus = {g[0]: g for g in generator_vectors(
-        fam, {ij: 1 for ij in fam.pihat}, points)}
-    minus = {g[0]: g for g in generator_vectors(
-        fam, {ij: -1 for ij in fam.pihat}, points)}
-    for (i, j) in fam.pihat:
-        name = fam.positions[(i, j)]
-        _, xp, rp = plus[f"f_{name},+1"]
-        _, xm, rm = minus[f"f_{name},-1"]
-        expect_r = _rvec(fam, points, [((i + 1, j), 1)])
-        if [a + b for a, b in zip(xp, xm)] != [0] * len(xp):
-            return False
-        if [a + b for a, b in zip(rp, rm)] != expect_r:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # presentation
 
@@ -292,40 +261,3 @@ def cox_presentation(fam):
             + tuple(f"Z_{q}" for q in z_vars)
             + tuple(f"t_{q}" for q in t_vars if q not in eliminated))
     return CoxPresentation(w_vars, z_vars, t_vars, tuple(relations), free)
-
-
-# ---------------------------------------------------------------------------
-# boundary units
-
-def eta_unit_check(fam):
-    """ord exponent pattern of each boundary unit across all divisors:
-    +1 along its row, -1 along the row above, -1 at its marked-cover
-    divisor, 0 elsewhere."""
-    points = lattice.structural_points(fam.poset)
-    lat = lattice.PolyptychLattice(fam.poset)
-    report = {"divisor_layout": [divisor_label(pt) for pt in points],
-              "units": [], "ok": True}
-    for s, (i, j) in enumerate(fam.units, start=1):
-        m = lat.element(fam.eps_leq(i, j))
-        corner = _corner_index(fam, points, i, j)
-        pattern = {}
-        for k, pt in enumerate(points):
-            val = pt(m)
-            expect = 0
-            if pt.kind == "INNER":
-                pi = fam.pos_of[pt.p][0]
-                if pi == i:
-                    expect = 1
-                elif pi == i + 1:
-                    expect = -1
-            elif k == corner:
-                expect = -1
-            if val != expect:
-                raise PatternFail(
-                    f"unit s={s}: ord at {divisor_label(pt)} is {val}, "
-                    f"expected {expect}")
-            if val:
-                pattern[divisor_label(pt)] = val
-        report["units"].append({"s": s, "position": [i, j],
-                                "exponents": pattern})
-    return report

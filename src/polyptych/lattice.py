@@ -337,8 +337,8 @@ def _row_tail(fam, i, j):
 
 def _generator_ys(fam):
     """The y-vectors of the 2 * dim dual generators, built once per family:
-    (i, j, True) -> dual_eps(i, j), supported on rows i and i-1, and
-    (i, j, False) -> dual_eps_prime(i, j), minus row i from column j on."""
+    (i, j, True) -> row i minus row i-1, both from column j on, and
+    (i, j, False) -> minus row i from column j on."""
     if fam._dual_generators is None:
         table = {}
         for i, j in fam.positions:
@@ -348,15 +348,6 @@ def _generator_ys(fam):
             table[(i, j, False)] = tuple(-a for a in tail)
         fam._dual_generators = table
     return fam._dual_generators
-
-
-def dual_eps(fam, i, j):
-    """Dual generator supported on rows i and i-1."""
-    return DualElement(fam, _generator_ys(fam)[(i, j, True)])
-
-
-def dual_eps_prime(fam, i, j):
-    return DualElement(fam, _generator_ys(fam)[(i, j, False)])
 
 
 def eval_w(fam, dual, x):
@@ -372,7 +363,7 @@ def eval_w(fam, dual, x):
 
 def _cone_generators(fam, signs):
     """The generators of the dual cone with the given interior signs, as
-    (i, j, positive) for dual_eps(i, j) or dual_eps_prime(i, j): one above
+    keys (i, j, positive) of _generator_ys: one above
     each interior position, by its sign, then both at each position that
     sits directly above no interior position."""
     pihat = fam.pihat
@@ -433,9 +424,9 @@ def chart_sign_vector(fam, chart):
 def chart_cone_duals(fam, chart):
     """Generating dual elements of the cone matched to a chart: one signed
     generator per interior position, both signs at the free positions."""
-    return [dual_eps(fam, i, j) if positive else dual_eps_prime(fam, i, j)
-            for i, j, positive in _cone_generators(
-                fam, chart_sign_vector(fam, chart))]
+    ys = _generator_ys(fam)
+    return [DualElement(fam, ys[g])
+            for g in _cone_generators(fam, chart_sign_vector(fam, chart))]
 
 
 def dual_in_cone(fam, dual, signs):
@@ -479,24 +470,28 @@ def verify_strict_dual(fam, rng, pairs=500, chart_samples=50):
         if seen.setdefault(values, x) != x:
             report["injectivity"] = False
             report["ok"] = False
+
+    def additive(n, chart):
+        """Draw m1, m2 and say whether the point of n adds them on chart."""
+        phi = dual_point(fam, n)
+        m1 = lat.element(tuple(rng.randint(-3, 3) for _ in fam.axis))
+        m2 = lat.element(tuple(rng.randint(-3, 3) for _ in fam.axis))
+        return phi(lat.add_in_chart(m1, m2, chart)) == phi(m1) + phi(m2)
+
     for chart in mco.charts_of(fam.poset):
         signs = chart_sign_vector(fam, chart)
         inside = outside_fail = outside_seen = 0
         for _ in range(chart_samples):
             n = random_dual(fam, rng)
-            phi = dual_point(fam, n)
-            m1 = lat.element(tuple(rng.randint(-3, 3) for _ in fam.axis))
-            m2 = lat.element(tuple(rng.randint(-3, 3) for _ in fam.axis))
-            additive = (phi(lat.add_in_chart(m1, m2, chart))
-                        == phi(m1) + phi(m2))
+            adds = additive(n, chart)
             if dual_in_cone(fam, n, signs):
                 inside += 1
-                if not additive:
+                if not adds:
                     raise DualFail(
                         f"in-cone dual not additive on chart {sorted(chart)}")
             else:
                 outside_seen += 1
-                outside_fail += not additive
+                outside_fail += not adds
         if outside_fail == 0:
             # targeted search: some dual outside the cone must break
             # additivity on this chart
@@ -505,11 +500,7 @@ def verify_strict_dual(fam, rng, pairs=500, chart_samples=50):
                 if dual_in_cone(fam, n, signs):
                     continue
                 outside_seen += 1
-                phi = dual_point(fam, n)
-                m1 = lat.element(tuple(rng.randint(-3, 3) for _ in fam.axis))
-                m2 = lat.element(tuple(rng.randint(-3, 3) for _ in fam.axis))
-                if (phi(lat.add_in_chart(m1, m2, chart))
-                        != phi(m1) + phi(m2)):
+                if not additive(n, chart):
                     outside_fail += 1
                     break
         entry = {"inside": inside, "outside": outside_seen,

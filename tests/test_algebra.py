@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +112,15 @@ def test_jacobian_rank(fam_C2, rng):
     rep = algebra.jacobian_rank_at_samples(fam_C2.poset, rng, count=8,
                                            extra_points=extra)
     assert rep["ok"]
+
+
+def test_jacobian_rank_rejects_a_supplied_point_off_the_variety(fam_C2, rng):
+    xv, yv = algebra.degenerate_point_gt(fam_C2)
+    yv = dict(yv, q21=Fraction(1))
+    with pytest.raises(algebra.RankFail, match="not on the variety") as exc:
+        algebra.jacobian_rank_at_samples(fam_C2.poset, rng, count=2,
+                                         extra_points=[(xv, yv)])
+    assert str(xv) in str(exc.value)
 
 
 def test_degenerate_point_solves_relations(fam_C2):

@@ -108,6 +108,14 @@ def test_bad_vector_is_usage_error(runner):
     result = runner.invoke(main, ["mutate", "--family", "gtC", "--n", "2",
                                   "--vector", "1,x"])
     assert result.exit_code == 2
+    assert "bad vector '1,x'" in result.output
+
+
+def test_bad_marking_list_is_usage_error(runner):
+    result = runner.invoke(main, ["transfer", "--family", "gtA", "--n", "2",
+                                  "--lambda", "1,x"])
+    assert result.exit_code == 2
+    assert "bad marking list '1,x'" in result.output
 
 
 def test_valcheck_small(runner):

@@ -1,6 +1,7 @@
 import pytest
 
 from polyptych import cox, families, lattice
+from polyptych.geometry import UnimodularityFail
 from polyptych.posets import chain_poset, gt_type_A, gt_type_C
 
 
@@ -43,8 +44,20 @@ def test_divisor_functionals_integral_and_homogeneous(fam_C2, rng):
 
 
 def test_f_pair_identity(fam_A2, fam_C2):
-    assert cox.verify_f_pair_identity(fam_A2)
-    assert cox.verify_f_pair_identity(fam_C2)
+    """f_{q,+1} + f_{q,-1} equals the divisor unit vector of the element
+    above q: x parts cancel, r parts add to e_{t above q}."""
+    for fam in (fam_A2, fam_C2):
+        points = lattice.structural_points(fam.poset)
+        plus, minus = ({label: (x, r) for label, x, r in cox.generator_vectors(
+            fam, dict.fromkeys(fam.pihat, e), points)} for e in (1, -1))
+        for (i, j) in fam.pihat:
+            name = fam.positions[(i, j)]
+            xp, rp = plus[f"f_{name},+1"]
+            xm, rm = minus[f"f_{name},-1"]
+            assert [a + b for a, b in zip(xp, xm)] == [0] * len(xp)
+            above = fam.positions[(i + 1, j)]
+            assert [a + b for a, b in zip(rp, rm)] == [
+                int(pt.kind == "INNER" and pt.p == above) for pt in points]
 
 
 def test_all_sign_vectors_count(fam_C2):
@@ -71,6 +84,20 @@ def test_presentation_free_counts():
             families.GTFamily(family, n, lam).poset).variables
 
 
-def test_eta_unit_patterns(fam_A2, fam_C2):
-    assert cox.eta_unit_check(fam_A2)["ok"]
-    assert cox.eta_unit_check(fam_C2)["ok"]
+@pytest.mark.parametrize("family,n,lam", [
+    ("A", 2, (0, 2, 4)), ("C", 2, (2, 4))])
+def test_spoiled_unit_pattern_fails_membership(family, n, lam, monkeypatch):
+    """v_1's r is minus the boundary-unit exponent pattern; moving its
+    corner divisor to another corner breaks phi(m) + r = 0."""
+    fam = families.GTFamily(family, n, lam)
+    corner = cox._corner_index
+
+    def other_corner(fam, points, i, j):
+        if (i, j) == fam.units[0]:
+            return corner(fam, points, *fam.units[1])
+        return corner(fam, points, i, j)
+
+    monkeypatch.setattr(cox, "_corner_index", other_corner)
+    for eps in cox.all_sign_vectors(fam):
+        with pytest.raises(UnimodularityFail, match="generator v_1 fails"):
+            cox.semigroup_generators(fam, eps)
