@@ -138,14 +138,15 @@ def criterion_5(rng, cfg):
         for _ in range(cfg["c5_pairs"]):
             m1 = lat.element(tuple(rng.randint(-4, 4) for _ in lat.axis))
             m2 = lat.element(tuple(rng.randint(-4, 4) for _ in lat.axis))
-            pairs.append((m1, m2, lat.upsilon(m1, m2)))
+            pairs.append((m1, m2, lat.upsilon(m1, m2),
+                          [m1.scale(k) for k in range(4)]))
         for phi in functionals:
-            for m1, m2, ups in pairs:
+            for m1, m2, ups, scaled in pairs:
                 v1 = phi(m1)
                 if v1 + phi(m2) != min(phi(s) for s in ups):
                     ok = False
-                for k in (0, 1, 2, 3):
-                    if phi(m1.scale(k)) != k * v1:
+                for k, mk in enumerate(scaled):
+                    if phi(mk) != k * v1:
                         ok = False
         details[str(n)] = {"functionals": len(functionals),
                            "pairs": len(pairs)}

@@ -84,7 +84,7 @@ class GTFamily:
         self.pihat = tuple(ij for ij in sorted(self.positions)
                            if (ij[0] + 1, ij[1]) in self.positions)
         self.units = tuple(sorted(set(self.positions) - set(self.pihat)))
-        self._dual_cones = None  # K-dual per cone chart, filled by semialgebra
+        self._dual_cones = None  # cone-chart covectors, filled by semialgebra
         self._dual_generators = None  # generator y-vectors, filled by lattice
 
     # -- grid helpers -------------------------------------------------------

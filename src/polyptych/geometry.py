@@ -11,8 +11,8 @@ the combinatorial adjacency test, adequate for the dimensions handled here
 all run through one fraction-free row echelon, ``row_echelon``.
 
 The two resource limits are module constants, read where they are enforced:
-``DIM_CAP`` by ``cone_rays`` and ``ENUM_BUDGET`` by ``lattice_points`` and
-``count_lattice_points``.
+``DIM_CAP`` by ``cone_rays`` (and ``semialgebra.equal_exact``) and
+``ENUM_BUDGET`` by ``lattice_points`` and ``count_lattice_points``.
 """
 
 from __future__ import annotations

@@ -2,13 +2,21 @@
 
 Addition is union of generating sets; multiplication combines generators
 through all charts.  Two generating sets represent the same element exactly
-when their point-convex hulls agree, which is decided by exact hull equality
-per dual cone.  On a chart C the points linear there are induced by the duals
-of the cone matched to C; they form a cone of covectors K in C's coordinates,
-and the hulls agree on C when conv(generators) + K-dual agree as honest
-polyhedra.  The matched cone depends only on C ∩ E, where E holds the
-elements q_{i+1,j} above the interior positions (i,j), so one chart C ⊆ E
-per cone suffices, and K-dual is computed once per family and cone.
+when their point-convex hulls agree on every dual cone.  On a chart C the
+points linear there are induced by the duals of the cone matched to C; their
+covectors W, in C's coordinates, cut out the cone K* = {x : w.x >= 0}, and
+the hulls agree on C when conv(generators) + K* agree as honest polyhedra.
+The matched cone depends only on C ∩ E, where E holds the elements q_{i+1,j}
+above the interior positions (i,j), so one chart C ⊆ E per cone suffices.
+
+``equal_exact`` decides a pair in this order, each step exact:
+1. the same generators give the same element;
+2. a covector w with different least values over the two generating sets
+   refutes equality: w >= 0 on K*, so min_a w.a is w's minimum on the hull;
+3. a chart where each generator lies in some generator of the other side
+   plus K* (w.a >= w.b for all w) is equal: each hull holds the other's;
+4. any chart left goes to double description (``polyhedron_equal``), with
+   K*'s rays computed on first need and cached per family and cone.
 """
 
 from __future__ import annotations
@@ -93,26 +101,47 @@ def cone_charts(fam):
 
 
 def _dual_cones(fam):
-    """(chart, lineality, rays) of K-dual for each cone chart, computed once
-    per family by double description over the chart's cone covectors."""
+    """[chart, covectors, K*] for each of the 2^|pihat| cone charts, built once
+    per family under the DD dimension cap; K* is set on a chart's first DD."""
     if fam._dual_cones is None:
-        dim = len(fam.axis)
-        fam._dual_cones = [
-            (chart, *geometry.cone_rays(chart_cone_covectors(fam, chart), dim))
-            for chart in cone_charts(fam)]
+        dim, cap = len(fam.axis), geometry.DIM_CAP
+        if dim > cap:
+            raise geometry.DimCapExceeded(f"dimension {dim} exceeds cap {cap}")
+        fam._dual_cones = [[chart, chart_cone_covectors(fam, chart), None]
+                           for chart in cone_charts(fam)]
     return fam._dual_cones
+
+
+def _dominated(values, by):
+    """Each row of ``values`` is >= some row of ``by`` entrywise."""
+    return all(any(all(x >= y for x, y in zip(row, low)) for low in by)
+               for row in values)
 
 
 def equal_exact(fam, a, b):
     if a is INFINITY or b is INFINITY:
         return (a is INFINITY) == (b is INFINITY)
+    if a.gens == b.gens:  # deduplicated and sorted by coord0
+        return True
+    undecided = []
+    for cone in _dual_cones(fam):
+        chart, covectors, _ = cone
+        pa = [m.chart(chart) for m in a.gens]
+        pb = [m.chart(chart) for m in b.gens]
+        va = [[geometry.dot(w, p) for w in covectors] for p in pa]
+        vb = [[geometry.dot(w, p) for w in covectors] for p in pb]
+        if any(min(x) != min(y) for x, y in zip(zip(*va), zip(*vb))):
+            return False
+        if not (_dominated(va, vb) and _dominated(vb, va)):
+            undecided.append((cone, pa, pb))
     dim = len(fam.axis)
-    for chart, lineality, rays in _dual_cones(fam):
-        ha = geometry.VPolyhedron(dim, [m.chart(chart) for m in a.gens],
-                                  rays, lineality)
-        hb = geometry.VPolyhedron(dim, [m.chart(chart) for m in b.gens],
-                                  rays, lineality)
-        if not geometry.polyhedron_equal(ha, hb):
+    for cone, pa, pb in undecided:
+        if cone[2] is None:
+            cone[2] = geometry.cone_rays(cone[1], dim)
+        lineality, rays = cone[2]
+        if not geometry.polyhedron_equal(
+                geometry.VPolyhedron(dim, pa, rays, lineality),
+                geometry.VPolyhedron(dim, pb, rays, lineality)):
             return False
     return True
 

@@ -198,3 +198,75 @@ def test_cone_charts_one_per_sign_vector(family, n, lam):
     signs = [key(chart) for chart in charts]
     assert len(set(signs)) == len(signs)
     assert set(signs) == {key(chart) for chart in mco.charts_of(fam.poset)}
+
+
+# ---------------------------------------------------------------------------
+# which step of equal_exact decides a pair
+
+def _element(lat, *points):
+    return semialgebra.SemialgebraElement(lat, [lat.element(p) for p in points])
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace owner.<name> by a wrapper that records each call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("family, n, lam, x, y, equal, dd", [
+    # step 1: the same generators, listed in another order with a repeat
+    ("C", 2, (2, 4), [(1, 0, 2, -1), (0, 0, 0, 0)],
+     [(0, 0, 0, 0), (1, 0, 2, -1), (0, 0, 0, 0)], True, 0),
+    # step 2: a unit vector apart, so the covector of that axis has two
+    # different least values
+    ("C", 2, (2, 4), [(0, 0, 0, 0)], [(0, 0, 0, 1)], False, 0),
+    # step 3: (0,0,1) lies in (0,0,0) + K* on some cone charts and in
+    # (0,0,2) + K* on the others
+    ("A", 2, (0, 2, 4), [(0, 0, 0), (0, 0, 2)],
+     [(0, 0, 0), (0, 0, 1), (0, 0, 2)], True, 0),
+    # step 4: (0,0,1,1) is the midpoint of the other two generators; on the
+    # two cone charts whose K* is an orthant in the last two axes neither of
+    # them dominates it
+    ("C", 2, (2, 4), [(0, 0, 1, 1), (0, 0, 0, 2), (0, 0, 2, 0)],
+     [(0, 0, 0, 2), (0, 0, 2, 0)], True, 2),
+])
+def test_equal_exact_decision_step(monkeypatch, family, n, lam, x, y, equal,
+                                   dd):
+    fam = families.GTFamily(family, n, lam)
+    lat = small_fam_lat(fam)
+    a, b = _element(lat, *x), _element(lat, *y)
+    calls = _counted(monkeypatch, geometry, "polyhedron_equal")
+    assert semialgebra.equal_exact(fam, a, b) is equal
+    assert semialgebra.equal_exact(fam, b, a) is equal
+    assert len(calls) == 2 * dd
+    assert equal_all_charts(fam, a, b) is equal
+
+
+def test_same_generators_compute_no_cone(monkeypatch):
+    """Regression guard: equal generating sets are decided before any chart
+    work, so a fresh family computes neither covectors nor K*."""
+    fam = families.GTFamily("C", 2, (2, 4))
+    a = _element(small_fam_lat(fam), (1, 0, 2, -1), (0, 0, 0, 0))
+    rays = _counted(monkeypatch, geometry, "cone_rays")
+    covectors = _counted(monkeypatch, semialgebra, "chart_cone_covectors")
+    assert semialgebra.equal_exact(fam, a, a)
+    assert rays == [] and covectors == []
+
+
+def test_fallback_computes_k_dual_once_per_cone(monkeypatch):
+    """K* is computed for the two cone charts that fall back, once each; the
+    hull tests themselves run double description one dimension up."""
+    fam = families.GTFamily("C", 2, (2, 4))
+    lat = small_fam_lat(fam)
+    a = _element(lat, (0, 0, 1, 1), (0, 0, 0, 2), (0, 0, 2, 0))
+    b = _element(lat, (0, 0, 0, 2), (0, 0, 2, 0))
+    calls = _counted(monkeypatch, geometry, "cone_rays")
+    for _ in range(3):
+        assert semialgebra.equal_exact(fam, a, b)
+    assert len([c for c in calls if c[1] == len(fam.axis)]) == 2
