@@ -216,8 +216,7 @@ def criterion_9(rng, cfg):
     details = {}
     for fam in (_fam_A2(), _fam_C2()):
         u = choose_u(fam.poset)
-        rep = degeneration.hilbert_vs_ehrhart(fam.poset, u, cfg["c9_kmax"],
-                                              generation_kmax=2)
+        rep = degeneration.hilbert_vs_ehrhart(fam.poset, u, cfg["c9_kmax"])
         details[fam.family] = {
             "dimensions": [r["dimension"] for r in rep["rows"]],
             "all_charts_agree": all(r["agree"] for r in rep["rows"]),

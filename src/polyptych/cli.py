@@ -4,8 +4,8 @@ commands over marked posets and the triangular families.
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error,
 3 a resource limit was exceeded.  Exit 3 prints
 ``{"tool", "version", "command", "error": {"limit", "message"}}``, where
-``limit`` is ``"dim_cap"`` (the double-description dimension cap) or
-``"enum_budget"`` (the lattice-point enumeration budget).
+``limit`` is ``"dim_cap"`` (the double-description dimension cap),
+``"enum_budget"`` (the lattice-point enumeration budget) or ``"memory"``.
 """
 
 from __future__ import annotations
@@ -121,7 +121,8 @@ def _emit(report, ok=True, code=None):
     sys.exit((0 if ok else 1) if code is None else code)
 
 
-LIMITS = {DimCapExceeded: "dim_cap", BoxTooLarge: "enum_budget"}
+LIMITS = {DimCapExceeded: "dim_cap", BoxTooLarge: "enum_budget",
+          MemoryError: "memory"}
 
 
 class _Main(click.Group):

@@ -245,7 +245,7 @@ def _dilated(poset, u, chart, k):
     return hat_delta(poset, u, chart).dilate(k), _box(poset, u, chart, k)
 
 
-def lattice_points_of_hat_delta(poset, u, chart, k=1):
+def lattice_points_of_hat_delta(poset, u, chart, k):
     """The integer points of the k-fold dilation of hat_delta's polytope."""
     return geometry.lattice_points(*_dilated(poset, u, chart, k))
 
@@ -278,7 +278,7 @@ def _least(columns, form, size):
     return 0 if values is None else min(values)
 
 
-def verify_transfer_bijection(poset, u, k=1):
+def verify_transfer_bijection(poset, u, k):
     """Per chart C: the count of k times the chart-C polytope, and whether
     mu_C maps the chart-0 points onto its points; returns a report dict.
 

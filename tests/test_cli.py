@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from polyptych import mco
+from polyptych import degeneration, mco
 from polyptych.cli import main
 from polyptych.geometry import BoxTooLarge
 from polyptych.posets import chain_poset
@@ -220,6 +220,18 @@ def test_enum_budget_is_exit_3(runner, monkeypatch):
     assert code == 3 and out["command"] == "polytope"
     assert out["error"] == {"limit": "enum_budget",
                             "message": "search exceeded 10 nodes"}
+
+
+def test_memory_error_is_exit_3(runner, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(degeneration, "hilbert_vs_ehrhart", out_of_memory)
+    code, out = run_json(runner, ["hilbert", "--family", "gtA", "--n", "2"])
+    assert code == 3
+    assert out == {"tool": "polyptych", "version": out["version"],
+                   "command": "hilbert",
+                   "error": {"limit": "memory", "message": ""}}
 
 
 def _poset_file(tmp_path, content):

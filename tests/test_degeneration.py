@@ -95,14 +95,16 @@ def test_small_family_hilbert():
     assert [r["dimension"] for r in rep["rows"]] == [1, 3, 5, 7]
 
 
+def _deg1(fam):
+    """Degree-1 points of a family keyed to their basis monomials, and u."""
+    u = choose_u(fam.poset)
+    piece = degeneration.gamma(fam.poset, u, 1)
+    return {algebra.monomial_to_m(fam.poset, b): b for b in piece.basis}, u
+
+
 @pytest.fixture(scope="module")
 def deg1_A2(fam_A2):
-    """Degree-1 points of A2 keyed to their basis monomials, and u."""
-    u = choose_u(fam_A2.poset)
-    piece = degeneration.gamma(fam_A2.poset, u, 1)
-    deg1 = {algebra.monomial_to_m(fam_A2.poset, b): b
-            for b in piece.basis}
-    return deg1, u
+    return _deg1(fam_A2)
 
 
 def _brute_decompositions(points, k):
@@ -114,39 +116,30 @@ def _brute_decompositions(points, k):
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_decompositions_match_brute_force(fam_A2, deg1_A2, k):
-    deg1, u = deg1_A2
-    points = sorted(deg1)
-    bounds = degeneration._remainder_bounds(fam_A2.poset, u, k)
-    brute = _brute_decompositions(points, k)
-    limit = 40
-    compared = capped = 0
-    for z in mco.lattice_points_of_hat_delta(fam_A2.poset, u, frozenset(),
-                                             k):
-        found = degeneration._decompositions(bounds, deg1, points, z, k,
-                                             limit)
-        assert isinstance(found, list)
-        assert all(list(parts) == sorted(parts) for parts in found)
-        assert len(set(found)) == len(found)   # no permutation repeats
-        expected = brute[tuple(z)]
-        if len(expected) < limit:
-            assert sorted(found) == sorted(expected)
-            compared += 1
-        else:
-            assert len(found) == limit and set(found) <= set(expected)
-            capped += 1
-    assert compared > 0
-    assert capped > 0 or k == 2
-    z = max(brute, key=lambda s: len(brute[s]))
-    assert len(degeneration._decompositions(bounds, deg1, points, z, k,
-                                            limit=3)) == 3
-    # (k+1)v lies outside k * hat-delta for a vertex v != 0
-    v = points[0]
-    outside = tuple((k + 1) * c for c in v)
-    hd = mco.hat_delta(fam_A2.poset, u, frozenset())
-    assert not hd.dilate(k).contains(outside)
-    assert degeneration._decompositions(bounds, deg1, points, outside,
-                                        k) == []
+def test_decompositions_match_brute_force(fam_A2, fam_C2, k):
+    """Every target of the k-dilated polytope gets exactly one floor
+    decomposition, sorted and among the brute-force decompositions of its
+    sum; a point outside gets none."""
+    for fam in (fam_A2, fam_C2):
+        deg1, u = _deg1(fam)
+        shift = u.vector(fam.poset)
+        points = sorted(deg1)
+        brute = _brute_decompositions(points, k)
+        targets = mco.lattice_points_of_hat_delta(fam.poset, u, frozenset(),
+                                                  k)
+        assert {tuple(z) for z in targets} == set(brute)
+        for z in targets:
+            found = degeneration._decompositions(deg1, shift, z, k)
+            assert len(found) == 1
+            parts = found[0]
+            assert list(parts) == sorted(parts)
+            assert parts in brute[tuple(z)]
+        # (k+1)v lies outside k * hat-delta for a vertex v != 0
+        v = points[0]
+        outside = tuple((k + 1) * c for c in v)
+        hd = mco.hat_delta(fam.poset, u, frozenset())
+        assert not hd.dilate(k).contains(outside)
+        assert degeneration._decompositions(deg1, shift, outside, k) == []
 
 
 def test_generation_gap_reports_dropped_vertex(fam_A2, deg1_A2):
@@ -170,10 +163,26 @@ def test_generation_gap_reports_dropped_vertex(fam_A2, deg1_A2):
         assert tuple(c - d for c, d in zip(z, v)) in deg1
 
 
-def test_generation_gap_empty_at_degree_three_a2(fam_A2):
-    u = choose_u(fam_A2.poset)
-    rep = degeneration.hilbert_vs_ehrhart(fam_A2.poset, u, 3,
-                                          generation_kmax=3)
+def test_generation_gap_needs_the_product_to_reach_the_target(
+        fam_A2, deg1_A2, monkeypatch):
+    """A target is reached only when the product of its parts' monomials
+    contains it: with a product that drops every term, each degree-2
+    monomial is a gap, though each still has its decomposition."""
+    poset = fam_A2.poset
+    _, u = deg1_A2
+    pieces = {k: degeneration.gamma(poset, u, k) for k in (1, 2)}
+    tails = algebra.build_relations(poset)
+    assert degeneration._generation_gap(poset, tails, u, pieces, 2) == []
+    monkeypatch.setattr(algebra, "multiply", lambda f, g, tails: {})
+    gap = degeneration._generation_gap(poset, tails, u, pieces, 2)
+    assert gap == list(pieces[2].basis)
+
+
+@pytest.mark.parametrize("name", ["A2", "C2"])
+def test_generation_gap_empty_at_degree_three(request, name):
+    fam = request.getfixturevalue(f"fam_{name}")
+    u = choose_u(fam.poset)
+    rep = degeneration.hilbert_vs_ehrhart(fam.poset, u, 3)
     assert rep["ok"]
     assert [g["k"] for g in rep["generation"]] == [2, 3]
     assert all(not g["gap"] for g in rep["generation"])

@@ -224,7 +224,7 @@ def test_enumeration_builds_its_polytope_through_hat_delta(fam_A2,
     monkeypatch.setattr(mco, "hat_delta",
                         lambda *a: built.append(a[2]) or full(*a))
     for chart in mco.charts_of(fam_A2.poset):
-        mco.lattice_points_of_hat_delta(fam_A2.poset, u, chart)
+        mco.lattice_points_of_hat_delta(fam_A2.poset, u, chart, 1)
     assert built == mco.charts_of(fam_A2.poset)
 
 
