@@ -20,6 +20,7 @@ class OrdFail(Exception):
 class GradedPiece:
     degree: int
     basis: tuple  # standard monomial keys, sorted
+    points: tuple  # the chart-0 point of each basis monomial, in basis order
 
     @property
     def dimension(self):
@@ -30,10 +31,13 @@ def gamma(poset, u, k):
     """Degree-k graded piece: the standard monomials whose lattice element
     lies in the k-dilated centered polytope.  Membership is decided in
     chart 0, where the adapted-basis bijection identifies standard
-    monomials with integer vectors."""
+    monomials with integer vectors; the piece keeps each monomial's point,
+    so that no caller maps the monomial back."""
     points = mco.lattice_points_of_hat_delta(poset, u, frozenset(), k)
-    basis = sorted(algebra.m_to_monomial(poset, z) for z in points)
-    return GradedPiece(k, tuple(basis))
+    basis = [algebra.m_to_monomial(poset, z) for z in points]
+    order = sorted(range(len(basis)), key=basis.__getitem__)
+    return GradedPiece(k, tuple(map(basis.__getitem__, order)),
+                       tuple(map(points.__getitem__, order)))
 
 
 def hilbert_vs_ehrhart(poset, u, kmax):
@@ -43,32 +47,32 @@ def hilbert_vs_ehrhart(poset, u, kmax):
     tails = algebra.build_relations(poset)
     report = {"kmax": kmax, "rows": [], "ok": True, "generation": []}
     pieces = {}
+    charts = mco.charts_of(poset)[1:]  # chart 0's points are gamma's basis
     for k in range(kmax + 1):
-        piece = gamma(poset, u, k)
-        pieces[k] = piece
-        counts = {"": piece.dimension}  # chart 0's points are gamma's basis
-        for chart in mco.charts_of(poset)[1:]:
-            counts[mco.chart_str(chart)] = (
-                mco.count_lattice_points_of_hat_delta(poset, u, chart, k))
+        piece = pieces[k] = gamma(poset, u, k)
+        counts = {"": piece.dimension}
+        for chart, count in zip(charts, mco.count_charts(poset, u, charts, k)):
+            counts[mco.chart_str(chart)] = count
         agree = all(c == piece.dimension for c in counts.values())
         report["rows"].append({"k": k, "dimension": piece.dimension,
                                "chart_counts": counts, "agree": agree})
         report["ok"] = report["ok"] and agree
-    for k in range(2, kmax + 1):
-        gap = _generation_gap(poset, tails, u, pieces, k)
-        report["generation"].append({"k": k, "gap": [str(g) for g in gap]})
-        report["ok"] = report["ok"] and not gap
+        if k >= 2:  # a piece above degree 1 is needed only for its own k
+            gap = _generation_gap(poset, tails, u, pieces, k)
+            del pieces[k]
+            report["generation"].append({"k": k,
+                                         "gap": [str(g) for g in gap]})
+            report["ok"] = report["ok"] and not gap
     return report
 
 
 def _generation_gap(poset, tails, u, pieces, k):
     """Degree-k basis monomials missing from the normal form of the product
     of their floor decomposition's degree-1 monomials (expected empty)."""
-    deg1 = {algebra.monomial_to_m(poset, b): b for b in pieces[1].basis}
+    deg1 = dict(zip(pieces[1].points, pieces[1].basis))
     shift = u.vector(poset)
-    return [b for b in pieces[k].basis
-            if not _reachable(tails, deg1, shift, b,
-                              algebra.monomial_to_m(poset, b), k)]
+    return [b for b, z in zip(pieces[k].basis, pieces[k].points)
+            if not _reachable(tails, deg1, shift, b, z, k)]
 
 
 def _reachable(tails, deg1, shift, target, z, k):
@@ -167,8 +171,7 @@ def no_body_sample(fam, u, spec, kmax):
     report = {"chart": mco.chart_str(spec.chart), "levels": [], "ok": True}
     for k in range(kmax + 1):
         piece = gamma(fam.poset, u, k)
-        values = {rho_value(fam, spec, lat.element(
-            algebra.monomial_to_m(fam.poset, b))) for b in piece.basis}
+        values = {rho_value(fam, spec, lat.element(z)) for z in piece.points}
         points = mco.lattice_points_of_hat_delta(fam.poset, u, spec.chart, k)
         images = {tuple(sum(c * z for c, z in zip(cov, p)) for cov in covs)
                   for p in points}

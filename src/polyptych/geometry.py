@@ -10,9 +10,19 @@ the combinatorial adjacency test, adequate for the dimensions handled here
 (at most ``DIM_CAP``).  Determinants, ranks and the dual linear extension
 all run through one fraction-free row echelon, ``row_echelon``.
 
+Lattice points are listed by ``lattice_points`` and counted by
+``count_lattice_points_batch``, the same search with each subtree's count
+memoized.  One memo serves a whole batch of systems: a subtree's key is
+the complete subproblem below its depth (the box suffix and, per distinct
+row suffix, the largest residual right-hand side among its rows when that
+can bind), and such a key names the same lattice points whichever system
+it comes from.  The charts of one dilation share most of their rows, and
+so most of their subtrees.
+
 The two resource limits are module constants, read where they are enforced:
 ``DIM_CAP`` by ``cone_rays`` (and ``semialgebra.equal_exact``) and
-``ENUM_BUDGET`` by ``lattice_points`` and ``count_lattice_points``.
+``ENUM_BUDGET`` by ``lattice_points``, per listing, and by
+``count_lattice_points_batch``, per batch.
 """
 
 from __future__ import annotations
@@ -136,9 +146,10 @@ class VPolyhedron:
 # lattice-point enumeration
 
 def _search_table(poly, box):
-    """The set-up shared by ``lattice_points`` and ``count_lattice_points``:
-    ``(box, active, need)``, or None when the box is empty or some row
-    cannot be met even at its maximum over the box.
+    """The set-up shared by ``lattice_points`` and the counter of
+    ``count_lattice_points_batch``: ``(box, active, need)``, or None when
+    the box is empty or some row cannot be met even at its maximum over
+    the box.
 
     ``active[k]`` holds ``(row, a_k, max over the box of sum_{i > k} a_i
     x_i)`` for the rows with a_k != 0, and ``need`` holds the right-hand
@@ -232,90 +243,114 @@ def lattice_points(poly, box):
 
 
 def count_lattice_points(poly, box):
-    """``len(lattice_points(poly, box))``, without listing the points.
+    """``len(lattice_points(poly, box))``, without listing the points: the
+    batch of one of ``count_lattice_points_batch``."""
+    return count_lattice_points_batch([(poly, box)])[0]
+
+
+def count_lattice_points_batch(systems):
+    """``[len(lattice_points(poly, box)) for poly, box in systems]``,
+    without listing the points, through one memo for the whole batch.
 
     The search is that of ``lattice_points`` with each subtree's count
     memoized, a dynamic program over the search tree in the spirit of
     LattE's counting (De Loera et al., J. Symb. Comp. 2004).  The subtree
-    below depth k reads only the residual ``need`` of the rows that span
-    depth k, i.e. have nonzero coefficients both before k and at or after
-    k; every other row it reads still has need = b.  So (k, those residuals)
-    is the key.  A residual at or below the row's least value over the box
-    of sum_{i >= k} a_i x_i cannot bind there, and the key holds that least
-    value instead.  The nodes visited, memo hits excluded, are charged to
-    ``ENUM_BUDGET`` as in ``lattice_points``.
+    below depth k counts the integer points y of the box suffix box[k:]
+    with a_{>=k}.y >= need for every row whose suffix a_{>=k} is nonzero;
+    a row whose suffix is zero was met when its last nonzero axis was
+    fixed.  Of the rows sharing one suffix only the largest need binds,
+    and a need at or below the suffix's least value over the box suffix
+    binds nothing.  So the key is the box suffix and, per distinct row
+    suffix (both interned to small ints) whose largest need exceeds that
+    least value, the suffix and that need.  The key names the subproblem
+    completely, whatever polytope it comes from, so one memo serves
+    charts of one poset, polytopes of other dimensions and unrelated
+    systems alike.  The nodes the batch visits, memo hits excluded, are
+    charged to one ``ENUM_BUDGET``, as each listing is charged in
+    ``lattice_points``.
     """
-    table = _search_table(poly, box)
-    if table is None:
-        return 0
-    if not poly.dim:
-        return 1
-    box, active, need = table
     budget = ENUM_BUDGET
-    last = poly.dim - 1
-    # per depth k < last, the rows spanning k and, for each, its least value
-    # over the box of sum_{i >= k} a_i x_i; built from the last axis down
-    # like rest
-    span = [([], []) for _ in range(last)]
-    for r, (a, _) in enumerate(poly.rows):
-        first = next((i for i, c in enumerate(a) if c), last)
-        least, started = 0, False
-        for k in range(last, first, -1):
-            if a[k]:
-                lo, hi = box[k]
-                least += min(a[k] * lo, a[k] * hi)
-                started = True
-            if started and k < last:
-                span[k][0].append(r)
-                span[k][1].append(least)
-    memo = [{} for _ in range(last)]
-    inner, (ilo, ihi) = active[last], box[last]
+    memo, boxes, suffixes = {}, {}, {}
     nodes = 0
-    residual = need.__getitem__
+    counts = []
 
-    def count(k):
+    def charge(n):
         nonlocal nodes
-        spanning, floors = span[k]
-        key = tuple(map(max, map(residual, spanning), floors))
-        total = memo[k].get(key)
-        if total is not None:
-            return total
-        rows = active[k]
-        lo, hi = _bounds(*box[k], rows, need)
-        total = 0
-        if lo <= hi:
-            nodes += hi - lo + 1
-            if nodes > budget:
-                raise BoxTooLarge(f"enumeration budget {budget} exceeded")
-            saved = [(r, ak, need[r]) for r, ak, _ in rows]
-            for v in range(lo, hi + 1):
-                for r, ak, base in saved:
-                    need[r] = base - ak * v
-                if k + 1 < last:
-                    total += count(k + 1)
-                else:  # the last axis: its run of points, counted
-                    a, b = _bounds(ilo, ihi, inner, need)
-                    if a <= b:
-                        total += b - a + 1
-            for r, _, base in saved:
-                need[r] = base
-            if k + 1 == last:
-                nodes += total
-                if nodes > budget:
-                    raise BoxTooLarge(f"enumeration budget {budget} exceeded")
-        memo[k][key] = total
-        return total
-
-    if not last:
-        lo, hi = _bounds(ilo, ihi, inner, need)
-        if hi - lo + 1 > budget:
+        nodes += n
+        if nodes > budget:
             raise BoxTooLarge(f"enumeration budget {budget} exceeded")
-        return max(hi - lo + 1, 0)
-    try:
-        return count(0)
-    finally:
-        # count refers to itself through its closure, as descend does
-        del count
+
+    for poly, box in systems:
+        table = _search_table(poly, box)
+        if table is None or not poly.dim:
+            counts.append(0 if table is None else 1)
+            continue
+        box, active, need = table
+        last = poly.dim - 1
+        inner, (ilo, ihi) = active[last], box[last]
+        if not last:
+            lo, hi = _bounds(ilo, ihi, inner, need)
+            counts.append(max(hi - lo + 1, 0))
+            charge(counts[-1])
+            continue
+        # per depth k < last: the interned box suffix and, per distinct
+        # row suffix in interned order, (its id, its rows, its least value
+        # over the box suffix); the least value is built from the last
+        # axis down like rest, and rows sharing a suffix share it
+        groups = [{} for _ in range(last)]
+        for r, (a, _) in enumerate(poly.rows):
+            least, started = 0, False
+            for k in range(last, -1, -1):
+                if a[k]:
+                    lo, hi = box[k]
+                    least += min(a[k] * lo, a[k] * hi)
+                    started = True
+                if started and k < last:
+                    sid = suffixes.setdefault(a[k:], len(suffixes))
+                    groups[k].setdefault(sid, (sid, [], least))[1].append(r)
+        keys = [(boxes.setdefault(tuple(box[k:]), len(boxes)),
+                 sorted(groups[k].values())) for k in range(last)]
+        residual = need.__getitem__
+
+        def count(k):
+            bid, suffix_groups = keys[k]
+            key = [bid]
+            for sid, rows, least in suffix_groups:
+                m = max(map(residual, rows))
+                if m > least:
+                    key += sid, m
+            key = tuple(key)
+            total = memo.get(key)
+            if total is not None:
+                return total
+            rows = active[k]
+            lo, hi = _bounds(*box[k], rows, need)
+            total = 0
+            if lo <= hi:
+                charge(hi - lo + 1)
+                saved = [(r, ak, need[r]) for r, ak, _ in rows]
+                for v in range(lo, hi + 1):
+                    for r, ak, base in saved:
+                        need[r] = base - ak * v
+                    if k + 1 < last:
+                        total += count(k + 1)
+                    else:  # the last axis: its run of points, counted
+                        a, b = _bounds(ilo, ihi, inner, need)
+                        if a <= b:
+                            total += b - a + 1
+                for r, _, base in saved:
+                    need[r] = base
+                if k + 1 == last:
+                    charge(total)
+            memo[key] = total
+            return total
+
+        try:
+            counts.append(count(0))
+        finally:
+            # count refers to itself through its closure, as descend does
+            del count
+    return counts
 
 
 # ---------------------------------------------------------------------------

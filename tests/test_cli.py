@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from polyptych import degeneration, mco
+from polyptych import degeneration, geometry, mco
 from polyptych.cli import main
 from polyptych.geometry import BoxTooLarge
 from polyptych.posets import chain_poset
@@ -220,6 +220,18 @@ def test_enum_budget_is_exit_3(runner, monkeypatch):
     assert code == 3 and out["command"] == "polytope"
     assert out["error"] == {"limit": "enum_budget",
                             "message": "search exceeded 10 nodes"}
+
+
+def test_hilbert_over_its_budget_is_exit_3(runner, monkeypatch):
+    # gtC n = 3 at the default kmax 3: the first listing or batch of counts
+    # past 10,000 search nodes ends the command with the named limit
+    monkeypatch.setattr(geometry, "ENUM_BUDGET", 10_000)
+    code, out = run_json(runner, ["hilbert", "--family", "gtC", "--n", "3"])
+    assert code == 3
+    assert out == {"tool": "polyptych", "version": out["version"],
+                   "command": "hilbert",
+                   "error": {"limit": "enum_budget",
+                             "message": "enumeration budget 10000 exceeded"}}
 
 
 def test_memory_error_is_exit_3(runner, monkeypatch):

@@ -120,3 +120,42 @@ def test_count_budget_counts_visited_nodes(monkeypatch):
     with pytest.raises(geometry.BoxTooLarge,
                        match="enumeration budget 119 exceeded"):
         geometry.count_lattice_points(poly, box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(systems(), min_size=1, max_size=3), st.integers(0, 2),
+       st.integers(0, 3))
+@example([(geometry.HPolyhedron(2), [(0, 3), (0, 3)]),
+          (geometry.HPolyhedron(2), [(0, 1), (0, 1)])], 0, 0)
+@example([(geometry.HPolyhedron(2, [((1, 1), 2)]), [(0, 3), (0, 3)]),
+          (geometry.HPolyhedron(2, [((1, -1), 2)]), [(0, 3), (0, 3)])], 0, 0)
+@example([(geometry.HPolyhedron(2, [((1, 1), 0), ((1, 1), 2)]),
+           [(0, 3), (0, 3)]),
+          (geometry.HPolyhedron(2, [((1, 1), 0)]), [(0, 3), (0, 3)])], 0, 0)
+def test_batch_counts_each_system_as_listed(batch, repeat, at):
+    # unrelated systems of mixed dimension share one memo; a repeated
+    # system is answered from it.  The examples differ only in the box,
+    # in a row's coefficients, or in a second row on one suffix.
+    batch.insert(at % (len(batch) + 1), batch[repeat % len(batch)])
+    assert geometry.count_lattice_points_batch(batch) == [
+        len(geometry.lattice_points(poly, box)) for poly, box in batch]
+
+
+def test_batch_budget_is_charged_once_per_batch(monkeypatch):
+    # the 120 nodes of test_count_budget_counts_visited_nodes; a repeat of
+    # the same system is one memo hit at the root and costs nothing, and
+    # x_0 >= 5 visits only its 5 root children, the subtree below being
+    # the same as before
+    box = [(0, 9)] * 3
+    free = (geometry.HPolyhedron(3), box)
+    half = (geometry.HPolyhedron(3, [((1, 0, 0), 5)]), box)
+    monkeypatch.setattr(geometry, "ENUM_BUDGET", 120)
+    assert geometry.count_lattice_points_batch([free, free]) == [1000, 1000]
+    monkeypatch.setattr(geometry, "ENUM_BUDGET", 125)
+    assert geometry.count_lattice_points_batch([free, half, free]) == [
+        1000, 500, 1000]
+    monkeypatch.setattr(geometry, "ENUM_BUDGET", 124)
+    assert geometry.count_lattice_points(*half) == 500
+    with pytest.raises(geometry.BoxTooLarge,
+                       match="enumeration budget 124 exceeded"):
+        geometry.count_lattice_points_batch([free, half])

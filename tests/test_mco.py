@@ -86,13 +86,13 @@ def test_dropped_point_fails_with_the_distinct_image_count(fam_A2,
     u = choose_u(p)
     spoiled = frozenset(p.axis[1:])
     spoiled_rows = mco.hat_delta(p, u, spoiled).rows
-    counted = geometry.count_lattice_points
+    counted = geometry.count_lattice_points_batch
 
-    def short(poly, box):
-        count = counted(poly, box)
-        return count - 1 if poly.rows == spoiled_rows else count
+    def short(systems):
+        return [count - 1 if poly.rows == spoiled_rows else count
+                for (poly, _), count in zip(systems, counted(systems))]
 
-    monkeypatch.setattr(geometry, "count_lattice_points", short)
+    monkeypatch.setattr(geometry, "count_lattice_points_batch", short)
     rep = mco.verify_transfer_bijection(p, u, 1)
     assert rep["ok"] is False
     entries = rep["charts"]
@@ -140,7 +140,8 @@ def test_containment_alone_fails_a_raised_row(fam_A2, monkeypatch):
     u = choose_u(p)
     spoiled = frozenset(p.axis[1:])
     _raise_one_row(monkeypatch, spoiled)
-    monkeypatch.setattr(geometry, "count_lattice_points", lambda *a: 27)
+    monkeypatch.setattr(geometry, "count_lattice_points_batch",
+                        lambda systems: [27] * len(systems))
     rep = mco.verify_transfer_bijection(p, u, 1)
     assert rep["ok"] is False
     entries = rep["charts"]

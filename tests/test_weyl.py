@@ -91,3 +91,11 @@ def test_every_chart_count_is_weyl_dimension_without_listing(family, n, lam,
         expect = weyl_dimension(family, lam, k)
         assert {mco.count_lattice_points_of_hat_delta(poset, u, chart, k)
                 for chart in mco.charts_of(poset)} == {expect}
+
+
+def test_every_c3_chart_count_is_weyl_dimension():
+    # all 512 charts of C3 at k = 2, counted in one batch
+    poset = families.GTFamily("C", 3, (2, 4, 6)).poset
+    counts = mco.count_charts(poset, choose_u(poset), mco.charts_of(poset), 2)
+    assert len(counts) == 512
+    assert set(counts) == {weyl_dimension("C", (2, 4, 6), 2)}
