@@ -131,9 +131,8 @@ def criterion_5(rng, cfg):
         fam = _fam_C2() if n == 2 else families.GTFamily(
             "C", n, tuple(2 * i for i in range(1, n + 1)))
         lat = lattice.PolyptychLattice(fam.poset)
-        functionals = list(lattice.structural_points(fam.poset))
-        functionals += [lattice.dual_point(fam, lattice.random_dual(fam, rng))
-                        for _ in range(cfg["c5_duals"])]
+        functionals = semialgebra.sample_functionals(fam, rng,
+                                                     cfg["c5_duals"])
         pairs = []
         for _ in range(cfg["c5_pairs"]):
             m1 = lat.element(tuple(rng.randint(-4, 4) for _ in lat.axis))

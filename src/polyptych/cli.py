@@ -202,7 +202,7 @@ def polytope(chart, k, **params):
     chart = _parse_chart(chart, poset)
     u = _shift(poset)
     hd = mco.hat_delta(poset, u, chart)
-    count = mco.count_lattice_points_of_hat_delta(poset, u, chart, k)
+    count = mco.count_charts(poset, u, [chart], k)[0]
     _emit({"command": "polytope", "chart": mco.chart_str(chart), "k": k,
            "u": dict(sorted(u.u.items())),
            "hrep": hd.dilate(k).to_json(),

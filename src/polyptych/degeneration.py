@@ -1,6 +1,6 @@
 """Graded pieces of the polytope-filtered algebra, Hilbert-versus-Ehrhart
-comparisons, chart valuations from dual-cone bases, desk-scale value-body
-samples, and divisor-order additivity checks.
+comparisons with the degree-one generation check, chart-valuation bases
+from the dual-cone generators, and desk-scale value-body samples.
 """
 
 from __future__ import annotations
@@ -10,10 +10,6 @@ from itertools import combinations
 
 from . import algebra, geometry, lattice, mco, semialgebra
 from .geometry import UnimodularityFail
-
-
-class OrdFail(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -104,20 +100,6 @@ def _decompositions(deg1, shift, z, k):
     return [parts] if all(p in deg1 for p in parts) else []
 
 
-def verify_semigroup_property(poset, u, k1, k2):
-    """Products of basis elements of degrees k1, k2 land in degree k1+k2."""
-    tails = algebra.build_relations(poset)
-    p1 = gamma(poset, u, k1)
-    p2 = gamma(poset, u, k2)
-    target = set(gamma(poset, u, k1 + k2).basis)
-    for b1 in p1.basis:
-        for b2 in p2.basis:
-            prod = algebra.multiply({b1: 1}, {b2: 1}, tails)
-            if not set(prod) <= target:
-                return {"ok": False, "witness": (b1, b2)}
-    return {"ok": True, "pairs": p1.dimension * p2.dimension}
-
-
 # ---------------------------------------------------------------------------
 # chart valuations
 
@@ -149,92 +131,21 @@ def default_chart_valuation_spec(fam, chart):
         f"no unimodular generator subset for chart {mco.chart_str(chart)}")
 
 
-def rho_value(fam, spec, m):
-    """The rho-coordinate vector of a lattice element."""
-    return tuple(lattice.eval_w(fam, d, m.coord0) for d in spec.rho)
-
-
-def chart_valuation(fam, spec, f, k):
-    """v(f t^k): lexicographic minimum of the rho-values over the valuation
-    generators of f, paired with the degree."""
-    nu = algebra.valuation(f, lattice.PolyptychLattice(fam.poset))
-    if nu is semialgebra.INFINITY:
-        return None
-    return (min(rho_value(fam, spec, m) for m in nu.gens), k)
-
-
 def no_body_sample(fam, u, spec, kmax):
-    """Degree-normalized value sets against the chart polytope's lattice
-    points under the rho identification, per degree k <= kmax."""
-    lat = lattice.PolyptychLattice(fam.poset)
+    """Per degree k <= kmax: the rho-values of gamma's basis against the
+    chart polytope's lattice points under the rho identification.  A basis
+    monomial is read at its chart-0 point, so no basis is built."""
     covs = semialgebra.chart_covectors(fam, spec.chart, spec.rho)
     report = {"chart": mco.chart_str(spec.chart), "levels": [], "ok": True}
     for k in range(kmax + 1):
-        piece = gamma(fam.poset, u, k)
-        values = {rho_value(fam, spec, lat.element(z)) for z in piece.points}
-        points = mco.lattice_points_of_hat_delta(fam.poset, u, spec.chart, k)
+        values = {tuple(lattice.eval_w(fam, d, z) for d in spec.rho)
+                  for z in mco.lattice_points_of_hat_delta(
+                      fam.poset, u, frozenset(), k)}
         images = {tuple(sum(c * z for c, z in zip(cov, p)) for cov in covs)
-                  for p in points}
+                  for p in mco.lattice_points_of_hat_delta(
+                      fam.poset, u, spec.chart, k)}
         ok = values == images
         report["levels"].append({"k": k, "values": len(values),
                                  "points": len(images), "match": ok})
         report["ok"] = report["ok"] and ok
     return report
-
-
-def verify_chart_valuation_additive(fam, spec, rng, samples=50):
-    """v(fg) = v(f) + v(g) on sampled pairs whose valuations have one-term
-    hulls; larger hulls are recorded as superadditive observations."""
-    tails = algebra.build_relations(fam.poset)
-    report = {"additive_pairs": 0, "observed_pairs": 0, "ok": True}
-    for idx in range(samples):
-        terms = 1 if idx % 2 == 0 else 2
-        f = algebra.normal_form(
-            algebra.random_sparse(rng, fam.poset, terms=terms), tails)
-        g = algebra.normal_form(
-            algebra.random_sparse(rng, fam.poset, terms=terms), tails)
-        if not f or not g:
-            continue
-        vf = chart_valuation(fam, spec, f, 1)
-        vg = chart_valuation(fam, spec, g, 1)
-        vfg = chart_valuation(fam, spec, algebra.multiply(f, g, tails), 2)
-        one_term = len(f) == 1 and len(g) == 1
-        expected = tuple(a + b for a, b in zip(vf[0], vg[0]))
-        if one_term:
-            if vfg[0] != expected:
-                raise OrdFail(f"valuation not additive on {f}, {g}")
-            report["additive_pairs"] += 1
-        else:
-            report["observed_pairs"] += 1
-    return report
-
-
-# ---------------------------------------------------------------------------
-# divisor orders
-
-def ord_along(phi, nu):
-    """ord(f) for the divisor functional phi: min over the valuation hull."""
-    return min(phi(m) for m in nu.gens)
-
-
-def ord_divisor_check(fam, rng, samples=100):
-    """Additivity ord(fg) = ord(f) + ord(g) for every structural-point
-    functional, on seeded normal-form pairs."""
-    tails = algebra.build_relations(fam.poset)
-    lat = lattice.PolyptychLattice(fam.poset)
-    points = lattice.structural_points(fam.poset)
-    checked = 0
-    for _ in range(samples):
-        f = algebra.normal_form(algebra.random_sparse(rng, fam.poset), tails)
-        g = algebra.normal_form(algebra.random_sparse(rng, fam.poset), tails)
-        if not f or not g:
-            continue
-        nf = algebra.valuation(f, lat)
-        ng = algebra.valuation(g, lat)
-        nfg = algebra.valuation(algebra.multiply(f, g, tails), lat)
-        for phi in points:
-            if ord_along(phi, nfg) != ord_along(phi, nf) + ord_along(phi, ng):
-                raise OrdFail(
-                    f"ord not additive at {phi.label()} on {f}, {g}")
-        checked += 1
-    return {"pairs": checked, "functionals": len(points), "ok": True}

@@ -95,20 +95,10 @@ class GTFamily:
     def row_start(self, i):
         return self.rows[i][0]
 
-    def row_end(self, i):
-        return self.rows[i][-1]
-
     # -- vectors over the unmarked axis ------------------------------------
 
     def axis_index(self, i, j):
         return self._axis_index[(i, j)]
-
-    def eps_leq(self, i, j):
-        """The 0-chart coordinate of the row partial sum e_{i,start}+...+e_{i,j}."""
-        v = [0] * len(self.axis)
-        for l in range(self.row_start(i), j + 1):
-            v[self.axis_index(i, l)] = 1
-        return tuple(v)
 
     def coord(self, x, i, j):
         """x_{i,j} from an axis vector, with missing positions read as 0."""

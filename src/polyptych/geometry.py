@@ -242,12 +242,6 @@ def lattice_points(poly, box):
     return out
 
 
-def count_lattice_points(poly, box):
-    """``len(lattice_points(poly, box))``, without listing the points: the
-    batch of one of ``count_lattice_points_batch``."""
-    return count_lattice_points_batch([(poly, box)])[0]
-
-
 def count_lattice_points_batch(systems):
     """``[len(lattice_points(poly, box)) for poly, box in systems]``,
     without listing the points, through one memo for the whole batch.

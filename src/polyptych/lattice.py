@@ -1,7 +1,7 @@
 """Polyptych lattice of a marked poset: charts glued by the linearized
-transfer maps, chart-wise addition, structural points, the piecewise-linear
-description of the centered polytope, and (for the triangular families) the
-dual lattice with its strict pairing.
+transfer maps, chart-wise addition, structural points, checks of the point
+and mutation axioms, and (for the triangular families) the dual lattice
+with its strict pairing.
 
 An element is stored by its coordinate in the all-order chart (chart 0);
 coordinates in other charts are computed on demand by ``mco.mu``.
@@ -149,95 +149,6 @@ def verify_point_axiom(lattice, phi, pairs):
     return {"pairs": checked, "ok": True}
 
 
-# ---------------------------------------------------------------------------
-# piecewise-linear description of the centered polytope
-
-@dataclass(frozen=True)
-class PLHalfSpace:
-    phi: StructuralPoint
-    bound: int
-
-
-def pl_hat_delta(poset, u):
-    """Half-space data cutting out the centered polytope inside the lattice:
-    phi_p >= u_q - u_p (any lower cover q) and phi_{p,p'} >= u_{p'} - lam_p."""
-    uval = dict(u.u)
-    uval.update(poset.marking)
-    rows = []
-    for phi in structural_points(poset):
-        q = (phi.pprime if phi.kind == "CORNER"
-             else poset.lower_covers(phi.p)[0])
-        rows.append(PLHalfSpace(phi, uval[q] - uval[phi.p]))
-    return tuple(rows)
-
-
-def pl_hat_delta_hrep0(poset, u):
-    """The chart-0 image of the PL description, expanded to linear rows.
-
-    phi_p >= a is the conjunction of x_p - x_q >= a over unmarked lower
-    covers q and x_p >= a when p has a marked lower cover; phi_{p,p'} >= a
-    is -x_{p'} >= a.
-    """
-    axis = poset.axis
-    index = {p: i for i, p in enumerate(axis)}
-    dim = len(axis)
-    rows = []
-    for hs in pl_hat_delta(poset, u):
-        if hs.phi.kind == "CORNER":
-            e = [0] * dim
-            e[index[hs.phi.pprime]] = -1
-            rows.append((tuple(e), hs.bound))
-            continue
-        p = hs.phi.p
-        has_marked = False
-        for q in poset.lower_covers(p):
-            if poset.is_marked(q):
-                has_marked = True
-                continue
-            e = [0] * dim
-            e[index[p]] = 1
-            e[index[q]] = -1
-            rows.append((tuple(e), hs.bound))
-        if has_marked:
-            e = [0] * dim
-            e[index[p]] = 1
-            rows.append((tuple(e), hs.bound))
-    return geometry.HPolyhedron(dim, rows)
-
-
-def verify_pl_description(lattice, u, sample_vectors=()):
-    """The PL half-space data describes the same set as the chart polytopes.
-
-    Chart 0 is compared exactly as H-polyhedra; every other chart is compared
-    pointwise on the chart polytope's lattice points, their mu-preimages, and
-    any supplied sample vectors.
-    """
-    poset = lattice.poset
-    report = {"charts": {}, "ok": True}
-    pl0 = pl_hat_delta_hrep0(poset, u)
-    direct0 = mco.hat_delta(poset, u, frozenset())
-    ok0 = geometry.polyhedron_equal(pl0, direct0)
-    report["charts"][""] = {"mode": "exact", "match": ok0}
-    report["ok"] = ok0
-    halfspaces = pl_hat_delta(poset, u)
-
-    def member(m):
-        return all(hs.phi(m) >= hs.bound for hs in halfspaces)
-
-    base_points = mco.lattice_points_of_hat_delta(poset, u, frozenset(), 1)
-    probes = [lattice.element(z) for z in base_points]
-    probes.extend(lattice.element(v) for v in sample_vectors)
-    for chart in lattice.charts():
-        if not chart:
-            continue
-        hrep = mco.hat_delta(poset, u, chart)
-        ok = all(member(m) == hrep.contains(m.chart(chart)) for m in probes)
-        report["charts"][mco.chart_str(chart)] = {
-            "mode": "pointwise", "probes": len(probes), "match": ok}
-        report["ok"] = report["ok"] and ok
-    return report
-
-
 def verify_mutation_axioms(lattice, vectors, chart_pairs):
     """Definition axioms on samples: identity, inverse, cocycle; exact."""
     checked = 0
@@ -259,35 +170,6 @@ def verify_mutation_axioms(lattice, vectors, chart_pairs):
                 raise AxiomFail("cocycle fails")
             checked += 1
     return {"checked": checked, "ok": True}
-
-
-def verify_linearity_space(lattice, directions, vectors):
-    """Every mutation is affine along each direction v (and along integer
-    combinations of the directions): mu_C(x+v) - mu_C(x) = mu_C(v)."""
-    combos = list(directions)
-    if len(directions) >= 2:
-        combos.append(tuple(a - 2 * b
-                            for a, b in zip(directions[0], directions[1])))
-        combos.append(tuple(sum(col) for col in zip(*directions)))
-    for chart in lattice.charts():
-        for v in combos:
-            shift = mco.mu(lattice.poset, chart, v)
-            for x in vectors:
-                lhs = mco.mu(lattice.poset, chart,
-                             tuple(a + b for a, b in zip(x, v)))
-                rhs = tuple(a + b for a, b in zip(
-                    mco.mu(lattice.poset, chart, x), shift))
-                if lhs != rhs:
-                    raise AxiomFail(
-                        f"direction {v} not linear on chart {sorted(chart)}")
-    return {"ok": True, "directions": len(directions)}
-
-
-def gt_linearity_directions(fam):
-    """Spanning directions of the linearity space in chart 0: full odd-row
-    sums for type C, full row sums at the boundary rows for type A."""
-    rows = sorted(set(i for (i, _) in fam.units))
-    return [fam.eps_leq(i, fam.row_end(i)) for i in rows]
 
 
 # ---------------------------------------------------------------------------

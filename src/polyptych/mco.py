@@ -250,11 +250,6 @@ def lattice_points_of_hat_delta(poset, u, chart, k):
     return geometry.lattice_points(*_dilated(poset, u, chart, k))
 
 
-def count_lattice_points_of_hat_delta(poset, u, chart, k):
-    """The number of those points, counted without listing them."""
-    return geometry.count_lattice_points(*_dilated(poset, u, chart, k))
-
-
 def count_charts(poset, u, charts, k):
     """The number of those points for each of the charts, in order, counted
     in one batch that shares its memo and its budget."""

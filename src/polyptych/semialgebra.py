@@ -158,7 +158,7 @@ def equal_sampled(a, b, functionals):
 
 
 def sample_functionals(fam, rng, count=60):
-    out = [phi for phi in lattice.structural_points(fam.poset)]
+    out = list(lattice.structural_points(fam.poset))
     for _ in range(count):
         out.append(lattice.dual_point(fam, lattice.random_dual(fam, rng)))
     return out

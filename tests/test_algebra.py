@@ -88,6 +88,28 @@ def test_valuation_multiplicative_exact(fam_C2, rng):
     assert rep["ok"]
 
 
+@pytest.mark.parametrize("name", ["A2", "C2"])
+def test_valuation_multiplicative_sampled(request, rng, name):
+    # the structural points are among the functionals: the order of a
+    # product along each boundary divisor is the sum of the factors' orders
+    fam = request.getfixturevalue(f"fam_{name}")
+    rep = algebra.verify_valuation(fam, rng, samples=15, mode="SAMPLED")
+    assert rep["ok"] and rep["pairs"] > 0
+
+
+def test_sampled_valuation_sees_a_lost_monomial(fam_C2, rng, monkeypatch):
+    multiply = algebra.multiply
+
+    def lossy(f, g, tails):
+        prod = multiply(f, g, tails)
+        del prod[min(prod)]
+        return prod
+
+    monkeypatch.setattr(algebra, "multiply", lossy)
+    with pytest.raises(algebra.ValuationFail):
+        algebra.verify_valuation(fam_C2, rng, samples=15, mode="SAMPLED")
+
+
 def test_valuation_star_identity(fam_C2):
     tails = tails_of(fam_C2)
     lat = lattice.PolyptychLattice(fam_C2.poset)

@@ -215,7 +215,7 @@ def test_enum_budget_is_exit_3(runner, monkeypatch):
     def over_budget(*args, **kwargs):
         raise BoxTooLarge("search exceeded 10 nodes")
 
-    monkeypatch.setattr(mco, "count_lattice_points_of_hat_delta", over_budget)
+    monkeypatch.setattr(mco, "count_charts", over_budget)
     code, out = run_json(runner, ["polytope", "--family", "gtA", "--n", "2"])
     assert code == 3 and out["command"] == "polytope"
     assert out["error"] == {"limit": "enum_budget",

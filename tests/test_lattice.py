@@ -3,10 +3,11 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
-from polyptych import lattice, mco
+from polyptych import geometry, lattice, mco
 from polyptych.families import GTFamily
 from polyptych.posets import (MarkedPoset, basic_pi1, basic_pi2, chain_poset,
                               choose_u)
@@ -46,11 +47,76 @@ def test_point_axiom_structural(fam_C2, rng):
 
 
 def test_linearity_directions(fam_A2, rng):
-    lat = lat_of(fam_A2)
-    dirs = lattice.gt_linearity_directions(fam_A2)
-    vectors = [tuple(rng.randint(-3, 3) for _ in range(lat.dim))
+    """Every mutation is affine along the full row sums at the unit rows,
+    which span the linearity space in chart 0, and along two integer
+    combinations of them: mu_C(x + v) - mu_C(x) = mu_C(v)."""
+    poset = fam_A2.poset
+    dirs = [tuple(int(fam_A2.pos_of[p][0] == i) for p in poset.axis)
+            for i in sorted({i for i, _ in fam_A2.units})]
+    assert len(dirs) == 2
+    dirs += [tuple(a - 2 * b for a, b in zip(*dirs)),
+             tuple(map(sum, zip(*dirs)))]
+    vectors = [tuple(rng.randint(-3, 3) for _ in poset.axis)
                for _ in range(8)]
-    assert lattice.verify_linearity_space(lat, dirs, vectors)["ok"]
+    for chart in mco.charts_of(poset):
+        for v in dirs:
+            shift = mco.mu(poset, chart, v)
+            for x in vectors:
+                assert mco.mu(poset, chart, tuple(map(add, x, v))) == tuple(
+                    map(add, mco.mu(poset, chart, x), shift))
+
+
+def _pl_half_spaces(poset, u):
+    """The piecewise-linear description of the centered polytope, as
+    (structural point, bound) pairs: phi_p >= u_q - u_p (any lower cover q)
+    and phi_{p,p'} >= u_{p'} - lam_p."""
+    uval = dict(u.u)
+    uval.update(poset.marking)
+    return [(phi, uval[phi.pprime if phi.kind == "CORNER"
+                       else poset.lower_covers(phi.p)[0]] - uval[phi.p])
+            for phi in lattice.structural_points(poset)]
+
+
+def _chart0_rows(poset, half_spaces):
+    """The chart-0 image of the half-spaces, expanded to linear rows:
+    phi_p >= a is x_p - x_q >= a per unmarked lower cover q, and x_p >= a
+    when p has a marked lower cover; phi_{p,p'} >= a is -x_{p'} >= a."""
+    def row(*terms):
+        e = [0] * len(poset.axis)
+        for c, p in terms:
+            e[poset.index(p)] = c
+        return tuple(e)
+
+    rows = []
+    for phi, bound in half_spaces:
+        if phi.kind == "CORNER":
+            rows.append((row((-1, phi.pprime)), bound))
+            continue
+        covers = poset.lower_covers(phi.p)
+        rows += [(row((1, phi.p), (-1, q)), bound)
+                 for q in covers if not poset.is_marked(q)]
+        if any(map(poset.is_marked, covers)):
+            rows.append((row((1, phi.p)), bound))
+    return geometry.HPolyhedron(len(poset.axis), rows)
+
+
+def _pl_mismatches(lat, u, half_spaces, samples=()):
+    """The charts on which the half-spaces cut out another set than the
+    chart polytope: chart 0 is compared exactly as H-polyhedra, every other
+    chart pointwise on chart 0's lattice points and the samples."""
+    poset = lat.poset
+    charts = mco.charts_of(poset)
+    bad = [] if geometry.polyhedron_equal(
+        _chart0_rows(poset, half_spaces),
+        mco.hat_delta(poset, u, charts[0])) else [""]
+    probes = [lat.element(z) for z in itertools.chain(
+        mco.lattice_points_of_hat_delta(poset, u, charts[0], 1), samples)]
+    for chart in charts[1:]:
+        hrep = mco.hat_delta(poset, u, chart)
+        if any(all(phi(m) >= bound for phi, bound in half_spaces)
+               != hrep.contains(m.chart(chart)) for m in probes):
+            bad.append(mco.chart_str(chart))
+    return bad
 
 
 def test_pl_description(fam_C2, rng):
@@ -58,18 +124,17 @@ def test_pl_description(fam_C2, rng):
     u = choose_u(fam_C2.poset)
     samples = [tuple(rng.randint(-4, 4) for _ in range(lat.dim))
                for _ in range(40)]
-    assert lattice.verify_pl_description(lat, u, samples)["ok"]
+    assert _pl_mismatches(lat, u, _pl_half_spaces(fam_C2.poset, u),
+                          samples) == []
 
 
 @pytest.mark.parametrize("drop", range(6))
-def test_pl_description_without_a_half_space_fails(fam_C2, monkeypatch,
-                                                   drop):
+def test_pl_description_without_a_half_space_fails(fam_C2, drop):
     u = choose_u(fam_C2.poset)
-    full = lattice.pl_hat_delta
-    assert len(full(fam_C2.poset, u)) == 6
-    monkeypatch.setattr(lattice, "pl_hat_delta", lambda poset, u: tuple(
-        hs for k, hs in enumerate(full(poset, u)) if k != drop))
-    assert lattice.verify_pl_description(lat_of(fam_C2), u)["ok"] is False
+    half_spaces = _pl_half_spaces(fam_C2.poset, u)
+    assert len(half_spaces) == 6
+    del half_spaces[drop]
+    assert _pl_mismatches(lat_of(fam_C2), u, half_spaces)
 
 
 def test_dual_completion_determines_values(fam_C2, rng):

@@ -91,8 +91,8 @@ def test_rational_coefficient_is_scaled_not_truncated():
           [(-2, 2)] * 4))
 def test_count_is_the_number_of_listed_points(system):
     poly, box = system
-    assert geometry.count_lattice_points(poly, box) == len(
-        geometry.lattice_points(poly, box))
+    assert geometry.count_lattice_points_batch([system]) == [len(
+        geometry.lattice_points(poly, box))]
 
 
 @pytest.mark.parametrize("poset, ks", [
@@ -102,11 +102,11 @@ def test_count_is_the_number_of_listed_points(system):
 ], ids=["A2", "C2", "A3"])
 def test_count_is_the_number_of_listed_points_on_every_chart(poset, ks):
     u = choose_u(poset)
+    charts = mco.charts_of(poset)
     for k in ks:
-        for chart in mco.charts_of(poset):
-            assert mco.count_lattice_points_of_hat_delta(
-                poset, u, chart, k) == len(
-                mco.lattice_points_of_hat_delta(poset, u, chart, k))
+        assert mco.count_charts(poset, u, charts, k) == [
+            len(mco.lattice_points_of_hat_delta(poset, u, chart, k))
+            for chart in charts]
 
 
 def test_count_budget_counts_visited_nodes(monkeypatch):
@@ -115,11 +115,11 @@ def test_count_budget_counts_visited_nodes(monkeypatch):
     poly = geometry.HPolyhedron(3)
     box = [(0, 9)] * 3
     monkeypatch.setattr(geometry, "ENUM_BUDGET", 120)
-    assert geometry.count_lattice_points(poly, box) == 1000
+    assert geometry.count_lattice_points_batch([(poly, box)]) == [1000]
     monkeypatch.setattr(geometry, "ENUM_BUDGET", 119)
     with pytest.raises(geometry.BoxTooLarge,
                        match="enumeration budget 119 exceeded"):
-        geometry.count_lattice_points(poly, box)
+        geometry.count_lattice_points_batch([(poly, box)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -155,7 +155,7 @@ def test_batch_budget_is_charged_once_per_batch(monkeypatch):
     assert geometry.count_lattice_points_batch([free, half, free]) == [
         1000, 500, 1000]
     monkeypatch.setattr(geometry, "ENUM_BUDGET", 124)
-    assert geometry.count_lattice_points(*half) == 500
+    assert geometry.count_lattice_points_batch([half]) == [500]
     with pytest.raises(geometry.BoxTooLarge,
                        match="enumeration budget 124 exceeded"):
         geometry.count_lattice_points_batch([free, half])

@@ -2,7 +2,8 @@
 every parameter with a default is set by some call in src/, perfbench/ or
 tests/ to something other than its literal default, or KEPT names it (as
 "function.param") with a reason to stay. A KEPT entry that the lint would
-not flag without it is stale and fails too.
+not flag without it is stale and fails too. A check that only tests call
+belongs in tests/, as the body of the test that runs it, not in KEPT.
 Click calls the (decorated) commands and the methods of _Main, whose base
 is a library class."""
 import ast
@@ -10,11 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-KEPT = dict.fromkeys([
-    "verify_pl_description", "verify_linearity_space", "ord_divisor_check",
-    "gt_linearity_directions", "verify_semigroup_property",
-    "verify_chart_valuation_additive"],
-    "a paper check; promoting it changes the fingerprints") | {
+KEPT = {
     "minkowski_sum_hull": "reference of the equal_exact test oracle",
     "transfer_inverse": "inverse of the transfer bijection, for round trips",
     "chain_poset": "builder listed in the README",
