@@ -5,13 +5,16 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error,
 3 a resource limit was exceeded.  Exit 3 prints
 ``{"tool", "version", "command", "error": {"limit", "message"}}``, where
 ``limit`` is ``"dim_cap"`` (the double-description dimension cap),
-``"enum_budget"`` (the lattice-point enumeration budget) or ``"memory"``.
+``"enum_budget"`` (the lattice-point enumeration budget) or ``"memory"``,
+whose message names the command line, as in
+``"out of memory in hilbert --family gtC --n 3"``.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import shlex
 import sys
 
 import click
@@ -126,15 +129,23 @@ LIMITS = {DimCapExceeded: "dim_cap", BoxTooLarge: "enum_budget",
 
 
 class _Main(click.Group):
-    """Reports an exceeded resource limit as exit 3, not as a traceback."""
+    """Reports an exceeded resource limit as exit 3, not as a traceback.
+    A MemoryError carries no message, so the command line stands in."""
+
+    def parse_args(self, ctx, args):
+        ctx.meta["argv"] = shlex.join(args)
+        return super().parse_args(ctx, args)
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except tuple(LIMITS) as exc:
+            message = str(exc)
+            if isinstance(exc, MemoryError):
+                message = "out of memory in " + ctx.meta["argv"]
             _emit({"command": ctx.invoked_subcommand,
                    "error": {"limit": LIMITS[type(exc)],
-                             "message": str(exc)}}, code=3)
+                             "message": message}}, code=3)
 
 
 def _source_options(fn):

@@ -83,10 +83,11 @@ def _chain_row(poset, index, dim, a, chain, b):
 # ---------------------------------------------------------------------------
 # transfer maps
 #
-# All four maps change only the chart coordinates, p in C:
+# The maps change only the chart coordinates, p in C:
 #   forward  x'_p = x_p + min(-x_q over unmarked lower covers q, m),
 #   inverse  x_p = x'_p - min(-x_q over unmarked lower covers q, m),
-# where the inverse reads the already inverted x_q, so it runs in rank order.
+# where the inverse reads the already inverted x_q, so it runs in rank order
+# (mu_inverse; no caller needs the transfer map's inverse).
 # A marked lower cover contributes m = min(-lam_q) to the transfer map and
 # m = 0 to its linearization mu.  Each chart is compiled once per poset into
 # a transfer plan and a mu plan, memoized on the poset; the plans of a chart
@@ -100,6 +101,18 @@ def _chain_row(poset, index, dim, a, chain, b):
 # on Z^d: given y = mu_C(x), walking the plan in order recovers x_p as
 # y_p - m_p(x) from the x_q already recovered (x_q = y_q for q not in C),
 # which is what mu_inverse does.
+#
+# Choosing which candidate attains each min of the full mu plan cuts R^d
+# into cells, closed cones with rows -x_q <= -x_q' or -x_q <= 0 (a marked
+# cover's candidate is 0), on each of which every mu_C is linear.  Chart 0's
+# rows are +-e_i or e_i - e_j with integer right-hand sides (Fang and
+# Fourier, "Marked chain-order polytopes", European J. Combin. 58, 2016),
+# and so are the cells', so chart 0 meets each cell in a polytope whose
+# matrix is totally unimodular and whose vertices are lattice points
+# (Hoffman and Kruskal, "Integral boundary points of convex polyhedra",
+# 1956).  mu_C maps all of chart 0 into a polyhedron when it maps chart 0's
+# k = 1 points there, and mu is positively homogeneous; this is how
+# verify_transfer_bijection checks every k from the k = 1 points.
 
 def _plans(poset, chart):
     """(transfer plan, mu plan) of a frozenset chart: rank-ordered tuples of
@@ -201,10 +214,6 @@ def transfer(poset, chart, x):
     return _forward(_plans(poset, chart)[0], x)
 
 
-def transfer_inverse(poset, chart, xp):
-    return _inverse(_plans(poset, chart)[0], xp)
-
-
 def mu(poset, chart, x):
     """Linearized transfer: marked lower covers contribute 0 instead of -lam."""
     return _forward(_plans(poset, chart)[1], x)
@@ -289,47 +298,69 @@ def verify_transfer_bijection(poset, u, k):
     """Per chart C: the count of k times the chart-C polytope, and whether
     mu_C maps the chart-0 points onto its points; returns a report dict.
 
-    Only chart 0 is listed.  Each chart-0 point z is mapped once, with the
-    full chart: mu(poset, C, z) equals mu(poset, full, z) on the coordinates
-    in C and z elsewhere, so the chart-C image is a pick of d of the 2d
-    stored columns of (z, mu(poset, full, z)).  The points of every chart,
-    chart 0 included, are counted in one batch that shares its memo
-    (``geometry.count_lattice_points_batch``), not listed.
+    Only chart 0 is listed, at ``level``, and each of its points z is mapped
+    once, with the full chart: mu(poset, C, z) equals mu(poset, full, z) on
+    the coordinates in C and z elsewhere, so the chart-C image is a pick of
+    d of the 2d stored columns of (z, mu(poset, full, z)).  The points of
+    every chart, chart 0 included, are counted at k in one batch that
+    shares its memo (``geometry.count_lattice_points_batch``), not listed.
 
     Why the check holds: when the full mu plan is triangular, mu_C is
-    injective on Z^d (see the transfer-maps comment), so the n chart-0
-    points have n distinct images.  If every row's and box bound's least
-    value over the image meets its bound (inside), the image is n of the
-    chart's count points, and it is all of them exactly when count == n.
-    So match ⇔ inside ∧ count == n, and image_count is n.  A least value
-    depends only on the row's coefficients on the 2d columns, so it is
-    computed once per such form and call.  A plan that is not triangular
-    falls back to the distinct image count, which must then be n as well.
+    injective on Z^d (see the transfer-maps comment), so the count_0 points
+    of k times chart 0 have count_0 distinct images.  If those images lie
+    inside k times the chart-C polytope and its box, they are count_0 of
+    its count points, and all of them exactly when count == count_0.  So
+    match <=> inside and count == count_0, and image_count is count_0.  A
+    least value depends only on the row's coefficients on the 2d columns,
+    so it is computed once per such form and call.  A plan that is not
+    triangular falls back to the distinct image count, which must then be
+    count_0 as well.
+
+    Why listing at ``level = min(k, 1)`` suffices: chart 0's rows are
+    +-e_i or e_i - e_j with integer right-hand sides (Fang and Fourier,
+    "Marked chain-order polytopes", European J. Combin. 58, 2016), and so
+    are the rows of each cell of the mu plan, on which every mu_C is linear
+    (see the transfer-maps comment).  Such a matrix is totally unimodular,
+    so chart 0 meets each cell in a polytope with lattice vertices (Hoffman
+    and Kruskal, "Integral boundary points of convex polyhedra", 1956), all
+    among the points at k = 1.  If those map inside the chart-C polytope
+    and its box, all of chart 0 does, and so at every k, since mu and the
+    box are positively homogeneous.  The certificate checks chart 0's row
+    shapes, that the mu plan's constants are None or 0, and that the plan
+    is triangular; when it fails, chart 0 is listed at k.
     """
     axis = poset.axis
     full = frozenset(axis)
     d = len(axis)
-    base = lattice_points_of_hat_delta(poset, u, frozenset(), k)
+    charts = charts_of(poset)
+    polys = [hat_delta(poset, u, chart) for chart in charts]
+    plan = _plans(poset, full)[1]
+    injective = _triangular(plan)
+    alcoved = all(sorted(c for c in a if c) in ([], [-1], [1], [-1, 1])
+                  for a, _ in polys[0].rows)
+    level = min(k, 1) if injective and alcoved and all(
+        m in (None, 0) for _, _, m in plan) else k
+    counts = geometry.count_lattice_points_batch(
+        [(poly.dilate(k), _box(poset, u, chart, k))
+         for chart, poly in zip(charts, polys)])
+    base = geometry.lattice_points(polys[0].dilate(level),
+                                   _box(poset, u, frozenset(), level))
     n = len(base)
     columns = [*zip(*base), *zip(*[mu(poset, full, z) for z in base])]
     del base
-    injective = _triangular(_plans(poset, full)[1])
     least = cache(lambda form: _least(columns, form, n))
     report = {"k": k, "charts": {}, "ok": True}
-    charts = charts_of(poset)
-    systems = [_dilated(poset, u, chart, k) for chart in charts]
-    counts = geometry.count_lattice_points_batch(systems)
-    for chart, (poly, box), count in zip(charts, systems, counts):
+    for chart, poly, count in zip(charts, polys, counts):
         pick = [i + d if p in chart else i for i, p in enumerate(axis)]
-        forms = [(tuple((j, c) for j, c in zip(pick, a) if c), b)
+        forms = [(tuple((j, c) for j, c in zip(pick, a) if c), level * b)
                  for a, b in poly.rows]
-        for j, (lo, hi) in zip(pick, box):
+        for j, (lo, hi) in zip(pick, _box(poset, u, chart, level)):
             forms += [(((j, 1),), lo), (((j, -1),), -hi)]
         inside = all(least(form) >= b for form, b in forms)
-        distinct = n if injective else len(set(zip(*(columns[j]
-                                                      for j in pick))))
-        ok = inside and count == n == distinct
+        image = counts[0] if injective else len(set(zip(*(columns[j]
+                                                          for j in pick))))
+        ok = inside and count == image == counts[0]
         report["charts"][chart_str(chart)] = {
-            "count": count, "image_count": distinct, "match": ok}
+            "count": count, "image_count": image, "match": ok}
         report["ok"] = report["ok"] and ok
     return report

@@ -243,7 +243,8 @@ def test_memory_error_is_exit_3(runner, monkeypatch):
     assert code == 3
     assert out == {"tool": "polyptych", "version": out["version"],
                    "command": "hilbert",
-                   "error": {"limit": "memory", "message": ""}}
+                   "error": {"limit": "memory", "message":
+                             "out of memory in hilbert --family gtA --n 2"}}
 
 
 def _poset_file(tmp_path, content):

@@ -1,4 +1,5 @@
 from functools import cache
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from polyptych import geometry, mco
 from polyptych.posets import MarkedPoset, choose_u, gt_type_A, gt_type_C
 
 FAMILIES = {"A2": ("A", 2, (0, 2, 4)), "A3": ("A", 3, (0, 2, 4, 6)),
-            "C1": ("C", 1, (2,)), "C2": ("C", 2, (2, 4))}
+            "C1": ("C", 1, (2,)), "C2": ("C", 2, (2, 4)),
+            "A2w": ("A", 2, (0, 4, 8))}
 
 
 @cache
@@ -70,8 +72,9 @@ def test_transfer_bijection_with_every_element_marked():
         "": {"count": 1, "image_count": 1, "match": True}}}
 
 
-@pytest.mark.parametrize("name,k", [("A2", 1), ("A2", 2), ("C2", 1),
-                                    ("C2", 2), ("C1", 1), ("A3", 1)])
+@pytest.mark.parametrize("name,k", [("A2", 1), ("A2", 2), ("A2", 3),
+                                    ("C2", 1), ("C2", 2), ("C2", 3),
+                                    ("C1", 1), ("A3", 1)])
 def test_transfer_bijection_equals_the_per_chart_oracle(name, k):
     p = _poset(name)
     u = choose_u(p)
@@ -102,28 +105,29 @@ def test_dropped_point_fails_with_the_distinct_image_count(fam_A2,
                for e in entries.values())
 
 
-def _raise_one_row(monkeypatch, spoiled):
-    """Make hat_delta of the spoiled chart demand one more of its third row,
-    so that some image points leave it."""
+def _move_one_row(monkeypatch, spoiled, by=1):
+    """Make hat_delta of the spoiled chart demand by more of its third row:
+    raised (by > 0), some image points leave it; lowered, it gains points
+    that are no image."""
     built = mco.hat_delta
 
-    def raised(poset, u, chart):
+    def moved(poset, u, chart):
         poly = built(poset, u, chart)
         if chart != spoiled:
             return poly
         rows = list(poly.rows)
         a, b = rows[2]
-        rows[2] = (a, b + 1)
+        rows[2] = (a, b + by)
         return geometry.HPolyhedron(poly.dim, rows)
 
-    monkeypatch.setattr(mco, "hat_delta", raised)
+    monkeypatch.setattr(mco, "hat_delta", moved)
 
 
 def test_raised_row_fails_the_containment(fam_A2, monkeypatch):
     p = fam_A2.poset
     u = choose_u(p)
     spoiled = frozenset(p.axis[1:])
-    _raise_one_row(monkeypatch, spoiled)
+    _move_one_row(monkeypatch, spoiled)
     rep = mco.verify_transfer_bijection(p, u, 1)
     assert rep == _oracle_report(p, u, 1)
     assert rep["ok"] is False
@@ -139,7 +143,7 @@ def test_containment_alone_fails_a_raised_row(fam_A2, monkeypatch):
     p = fam_A2.poset
     u = choose_u(p)
     spoiled = frozenset(p.axis[1:])
-    _raise_one_row(monkeypatch, spoiled)
+    _move_one_row(monkeypatch, spoiled)
     monkeypatch.setattr(geometry, "count_lattice_points_batch",
                         lambda systems: [27] * len(systems))
     rep = mco.verify_transfer_bijection(p, u, 1)
@@ -148,6 +152,92 @@ def test_containment_alone_fails_a_raised_row(fam_A2, monkeypatch):
     assert entries.pop(mco.chart_str(spoiled)) == {
         "count": 27, "image_count": 27, "match": False}
     assert all(e["match"] for e in entries.values())
+
+
+@pytest.mark.parametrize("name,k", [("A2", 2), ("A2", 3), ("A2w", 2)])
+def test_raised_row_fails_at_every_k_as_the_oracle(name, k, monkeypatch):
+    # chart 0 is listed at k = 1 only; the raised row is refused all the
+    # same, by its count and by containment alone, against the row at k = 1
+    # (on A2w it reads -1 there and -2 at k = 2, where the k = 1 points
+    # would meet it)
+    p = _poset(name)
+    u = choose_u(p)
+    spoiled = frozenset(p.axis[1:])
+    _move_one_row(monkeypatch, spoiled)
+    rep = mco.verify_transfer_bijection(p, u, k)
+    assert rep == _oracle_report(p, u, k)
+    assert rep["ok"] is False
+    entries = rep["charts"]
+    assert entries.pop(mco.chart_str(spoiled))["match"] is False
+    assert all(e["match"] for e in entries.values())
+    n = entries[""]["count"]
+    monkeypatch.setattr(geometry, "count_lattice_points_batch",
+                        lambda systems: [n] * len(systems))
+    rep = mco.verify_transfer_bijection(p, u, k)
+    assert [c for c, e in rep["charts"].items() if not e["match"]] == [
+        mco.chart_str(spoiled)]
+
+
+def test_lowered_row_is_refused_by_the_count(fam_A2, monkeypatch):
+    # a lowered row keeps every image inside, so containment passes; the
+    # chart's count exceeds chart 0's and refuses it
+    p = fam_A2.poset
+    u = choose_u(p)
+    spoiled = frozenset(p.axis[1:])
+    _move_one_row(monkeypatch, spoiled, by=-1)
+    rep = mco.verify_transfer_bijection(p, u, 2)
+    assert rep == _oracle_report(p, u, 2)
+    entry = rep["charts"][mco.chart_str(spoiled)]
+    assert entry["count"] > entry["image_count"] == 125
+    assert entry["match"] is False
+    monkeypatch.setattr(geometry, "count_lattice_points_batch",
+                        lambda systems: [125] * len(systems))
+    assert mco.verify_transfer_bijection(p, u, 2)["ok"] is True
+
+
+def _counting_mu(monkeypatch):
+    """Record the chart of every mu call, reached through the module."""
+    charts = []
+    full = mco.mu
+    monkeypatch.setattr(mco, "mu", lambda *a: charts.append(a[1]) or full(*a))
+    return charts
+
+
+def test_non_alcoved_chart_0_row_lists_chart_0_at_k(fam_C2, monkeypatch):
+    # the sum of two chart-0 rows is redundant but not of the form +-e_i or
+    # e_i - e_j, so the certificate refuses and chart 0 is listed at k
+    p = fam_C2.poset
+    u = choose_u(p)
+    expected = mco.verify_transfer_bijection(p, u, 2)
+    built = mco.hat_delta
+
+    def redundant(poset, u, chart):
+        poly = built(poset, u, chart)
+        if chart:
+            return poly
+        (a1, b1), (a2, b2), *_ = poly.rows
+        row = (tuple(map(add, a1, a2)), b1 + b2)
+        return geometry.HPolyhedron(poly.dim, [*poly.rows, row])
+
+    monkeypatch.setattr(mco, "hat_delta", redundant)
+    charts = _counting_mu(monkeypatch)
+    assert mco.verify_transfer_bijection(p, u, 2) == expected
+    assert len(charts) == 625
+
+
+def test_transfer_plan_in_place_of_mu_is_refused(monkeypatch):
+    # the transfer plan's marked covers give -lam, not 0: transfer is not
+    # homogeneous, so chart 0 is listed at k and the images leave a chart
+    p = gt_type_A(2, (0, 2, 4))  # a fresh poset: the plan memo is spoiled
+    u = choose_u(p)
+    plans = mco._plans
+    monkeypatch.setattr(mco, "_plans",
+                        lambda poset, chart: (plans(poset, chart)[0],) * 2)
+    charts = _counting_mu(monkeypatch)
+    rep = mco.verify_transfer_bijection(p, u, 2)
+    assert len(charts) == 125
+    assert rep == _oracle_report(p, u, 2)
+    assert rep["ok"] is False
 
 
 def test_plan_reading_a_later_axis_falls_back_to_distinct_images(
@@ -173,6 +263,8 @@ def test_plan_reading_a_later_axis_falls_back_to_distinct_images(
     assert rep["ok"] is False
     assert rep["charts"]["q12,q21"] == {
         "count": 27, "image_count": 12, "match": False}
+    # such a plan fails the certificate, so chart 0 is listed at k itself
+    assert mco.verify_transfer_bijection(p, u, 2) == _oracle_report(p, u, 2)
 
 
 def test_full_mu_plans_are_triangular():
@@ -181,18 +273,18 @@ def test_full_mu_plans_are_triangular():
         assert mco._triangular(mco._plans(p, frozenset(p.axis))[1])
 
 
-def test_one_mu_call_per_chart_0_point(fam_C2, monkeypatch):
+def test_one_mu_call_per_chart_0_point(monkeypatch):
     # each chart-0 point is mapped once with the full chart, not once per
-    # chart; mu is reached through the module attribute
-    p = fam_C2.poset
-    u = choose_u(p)
-    charts = []
-    full = mco.mu
-    monkeypatch.setattr(mco, "mu", lambda *a: charts.append(a[1]) or full(*a))
-    mco.verify_transfer_bijection(p, u, 1)
-    base = mco.lattice_points_of_hat_delta(p, u, frozenset(), 1)
-    assert len(charts) == len(base) == 81
-    assert set(charts) == {frozenset(p.axis)}
+    # chart; past k = 1 the certificate lets the k = 1 points stand for k
+    charts = _counting_mu(monkeypatch)
+    for name, k, points in [("C2", 1, 81), ("A2", 2, 27)]:
+        p = _poset(name)
+        u = choose_u(p)
+        charts.clear()
+        mco.verify_transfer_bijection(p, u, k)
+        base = mco.lattice_points_of_hat_delta(p, u, frozenset(), 1)
+        assert len(charts) == len(base) == points
+        assert set(charts) == {frozenset(p.axis)}
 
 
 @pytest.mark.parametrize("name", ["C2", "A3"])
@@ -253,7 +345,7 @@ def test_transfer_roundtrip(vec, chart_bits):
     chart = frozenset(e for i, e in enumerate(p.axis)
                       if chart_bits >> i & 1)
     image = mco.transfer(p, chart, tuple(vec))
-    back = mco.transfer_inverse(p, chart, image)
+    back = mco._inverse(mco._plans(p, chart)[0], image)
     assert tuple(back) == tuple(vec)
 
 

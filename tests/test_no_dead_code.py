@@ -13,7 +13,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 KEPT = {
     "minkowski_sum_hull": "reference of the equal_exact test oracle",
-    "transfer_inverse": "inverse of the transfer bijection, for round trips",
     "chain_poset": "builder listed in the README",
     "oplus": "the addition of the semialgebra"}
 
