@@ -73,8 +73,8 @@ def _generation_gap(poset, tails, u, pieces, k):
 
 def _reachable(tails, deg1, shift, target, z, k):
     for parts in _decompositions(deg1, shift, z, k):
-        prod = {algebra.ONE: 1}
-        for zi in parts:
+        prod = {deg1[parts[0]]: 1}  # degree-1 monomials are standard
+        for zi in parts[1:]:
             prod = algebra.multiply(prod, {deg1[zi]: 1}, tails)
         if target in prod:
             return True

@@ -109,11 +109,21 @@ class HPolyhedron:
 
     def translate(self, t):
         """The polyhedron shifted by +t: {x : a.(x - t) >= b}."""
-        return HPolyhedron(self.dim, [(a, b + dot(a, t)) for a, b in self.rows])
+        return self._moved([(a, b + dot(a, t)) for a, b in self.rows], t)
 
     def dilate(self, k):
         """k-fold dilation about the origin (right-hand sides scaled by k)."""
-        return HPolyhedron(self.dim, [(a, k * b) for a, b in self.rows])
+        return self._moved([(a, k * b) for a, b in self.rows], (k,))
+
+    def _moved(self, rows, by):
+        """A polyhedron of this dimension with ``rows``, made from this one's
+        by the scalars ``by``: integral as they stand when every scalar is
+        an int, and rescaled row by row by ``add`` otherwise."""
+        if not all(type(x) is int for x in by):
+            return HPolyhedron(self.dim, rows)
+        out = HPolyhedron(self.dim)
+        out.rows = rows
+        return out
 
     def to_json(self):
         return {"ineqs": [[*a, str(b)] for a, b in self.rows]}

@@ -4,11 +4,13 @@ the quick and full fingerprints are pinned."""
 
 import hashlib
 import json
+import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from polyptych import acceptance, cli, families
+from polyptych import acceptance, algebra, cli, families
 
 # sha256 of `polyptych acceptance --profile quick|full --seed 0`; a change
 # that moves one must update it and say why.
@@ -125,3 +127,136 @@ def test_each_pass_builds_the_shared_families_once(monkeypatch):
     acceptance.run_suite("quick", 0)   # the second pass builds its own
     assert [built[key] for key in shared] == [2, 2]
     assert sum(built.values()) == 38
+
+
+# ---------------------------------------------------------------------------
+# criterion 8: the unimodularity certificate against the box sweep
+
+def _sweep(poset):
+    """The oracle: map every standard monomial whose signed exponents lie in
+    the radius-4 box through monomial_to_m.  Returns the box size, whether
+    no two images meet, and whether each point of the radius-2 box is an
+    image."""
+    axis = poset.axis
+    images = set()
+    count = 0
+    for combo in product(range(-4, 5), repeat=len(axis)):
+        m = algebra.mono({p: (max(c, 0), max(-c, 0))
+                          for p, c in zip(axis, combo)})
+        images.add(algebra.monomial_to_m(poset, m))
+        count += 1
+    hits = all(z in images for z in product(range(-2, 3), repeat=len(axis)))
+    return count, len(images) == count, hits
+
+
+FAMILIES = {"A2": ("A", 2, (0, 2, 4)), "C2": ("C", 2, (2, 4))}
+
+
+@pytest.fixture(params=sorted(FAMILIES))
+def poset(request):
+    return families.GTFamily(*FAMILIES[request.param]).poset
+
+
+def _with_index_sets(monkeypatch, sets):
+    """Patch the adapted basis so that ``sets(axis, basis)`` gives each
+    element's index set; the next-element entries are kept."""
+    original = algebra._adapted_basis
+
+    def patched(poset):
+        basis = original(poset)
+        new = sets(poset.axis, basis)
+        return {p: (new[p], nxt) for p, (_, nxt) in basis.items()}
+
+    monkeypatch.setattr(algebra, "_adapted_basis", patched)
+
+
+def _run_criterion_8():
+    return acceptance.criterion_8(random.Random(0),
+                                  acceptance.PROFILES["quick"])
+
+
+def test_basis_certificate_equals_the_sweep(poset):
+    size, injective, hits = _sweep(poset)
+    assert size == 9 ** len(poset.axis)
+    assert acceptance._basis_certificate(poset) == (injective, hits) == (
+        True, True)
+
+
+def test_criterion_8_report():
+    assert _run_criterion_8() == {
+        "criterion": 8, "name": "adapted basis bijection", "box_size": 6561,
+        "injective": True, "hits_radius2": True, "pass": True}
+
+
+def test_singular_basis_is_not_injective(poset, monkeypatch):
+    """One entry's index set copied onto another: two columns of B agree."""
+    def copied(axis, basis):
+        sets = {p: basis[p][0] for p in axis}
+        sets[axis[1]] = sets[axis[0]]
+        return sets
+
+    _with_index_sets(monkeypatch, copied)
+    _, injective, hits = _sweep(poset)
+    assert acceptance._basis_certificate(poset) == (injective, hits) == (
+        False, False)
+    assert not _run_criterion_8()["injective"]
+
+
+def test_non_unimodular_basis_misses_the_radius_2_box(poset, monkeypatch):
+    """Index sets {0, 1}, {1, 2}, {0, 2}, then {i}: det B = 2, so the map is
+    injective but e_0 has no integer preimage."""
+    def doubled(axis, basis):
+        firsts = [(0, 1), (1, 2), (0, 2)]
+        return {p: firsts[i] if i < 3 else (i,) for i, p in enumerate(axis)}
+
+    _with_index_sets(monkeypatch, doubled)
+    _, injective, hits = _sweep(poset)
+    assert acceptance._basis_certificate(poset) == (injective, hits) == (
+        True, False)
+
+
+def test_inverse_leaving_the_radius_4_box_misses_it(poset, monkeypatch):
+    """Index sets {0}, {0, 1}, {1, 2}, then {i}: B is unimodular, but row 0
+    of its inverse is (1, -1, 1, 0, ...), so z = (2, -2, 2, 0, ...) needs
+    the exponent 6 on the first element."""
+    _with_index_sets(monkeypatch, lambda axis, basis: {
+        p: [(0,), (0, 1), (1, 2)][i] if i < 3 else (i,)
+        for i, p in enumerate(axis)})
+
+    def inverse(poset, z):
+        c = [z[0] - z[1] + z[2], z[1] - z[2], *z[2:]]
+        return algebra.mono({p: (max(x, 0), max(-x, 0))
+                             for p, x in zip(poset.axis, c)})
+
+    monkeypatch.setattr(algebra, "m_to_monomial", inverse)
+    _, injective, hits = _sweep(poset)
+    assert acceptance._basis_certificate(poset) == (injective, hits) == (
+        True, False)
+
+
+def test_off_by_one_inverse_fails_criterion_8(monkeypatch):
+    original = algebra.m_to_monomial
+
+    def off_by_one(poset, vec):
+        return algebra.mono_mul(original(poset, vec),
+                                algebra.x_var(poset.axis[0]))
+
+    monkeypatch.setattr(algebra, "m_to_monomial", off_by_one)
+    report = _run_criterion_8()
+    assert report["injective"] and not report["hits_radius2"]
+    assert not report["pass"]
+
+
+def test_criterion_8_maps_each_unit_vector_once(monkeypatch):
+    """At most d calls of each map, so a sweep cannot come back."""
+    calls = Counter()
+    for name in ("monomial_to_m", "m_to_monomial"):
+        def counting(*args, _fn=getattr(algebra, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(algebra, name, counting)
+    assert _run_criterion_8()["pass"]
+    d = len(acceptance._fam_C2().poset.axis)
+    assert 0 < calls["monomial_to_m"] <= d
+    assert 0 < calls["m_to_monomial"] <= d

@@ -197,6 +197,27 @@ def test_generation_gap_needs_the_product_to_reach_the_target(
     assert gap == list(pieces[2].basis)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_generation_makes_k_minus_1_products_per_target(
+        fam_A2, deg1_A2, monkeypatch, k):
+    """The product starts at the first part's monomial, which is standard,
+    so a degree-k target costs k - 1 calls of multiply."""
+    poset = fam_A2.poset
+    _, u = deg1_A2
+    pieces = {j: degeneration.gamma(poset, u, j) for j in (1, k)}
+    tails = algebra.build_relations(poset)
+    calls = Counter()
+    multiply = algebra.multiply
+
+    def counting(f, g, tails):
+        calls["multiply"] += 1
+        return multiply(f, g, tails)
+
+    monkeypatch.setattr(algebra, "multiply", counting)
+    assert degeneration._generation_gap(poset, tails, u, pieces, k) == []
+    assert calls["multiply"] == (k - 1) * pieces[k].dimension
+
+
 @pytest.mark.parametrize("name", ["A2", "C2"])
 def test_generation_gap_empty_at_degree_three(request, name):
     fam = request.getfixturevalue(f"fam_{name}")

@@ -91,6 +91,24 @@ def test_translate_preserves_membership():
     assert not moved.contains((4, 0))
 
 
+@pytest.mark.parametrize("k, t", [
+    (3, (5, -1)),
+    (Fraction(3, 2), (Fraction(1, 2), -1)),
+    (Fraction(4), (2, Fraction(-3)))])
+def test_moved_rows_equal_the_constructor_path(k, t):
+    """translate and dilate keep int rows as they are and send any other
+    scalar through add; the rows are those that the constructor makes."""
+    poly = geometry.HPolyhedron(2, [((1, 0), 0), ((0, Fraction(1, 2)), 1),
+                                    ((-1, -1), Fraction(-7, 2))])
+    moved = geometry.HPolyhedron(
+        2, [(a, b + geometry.dot(a, t)) for a, b in poly.rows])
+    dilated = geometry.HPolyhedron(2, [(a, k * b) for a, b in poly.rows])
+    assert poly.translate(t).rows == moved.rows
+    assert poly.dilate(k).rows == dilated.rows
+    for rows in (poly.translate(t).rows, poly.dilate(k).rows):
+        assert all(type(x) is int for a, b in rows for x in (*a, b))
+
+
 def test_h_v_roundtrip_square():
     poly = square(1)
     v = geometry.h_to_v(poly)
