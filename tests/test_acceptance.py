@@ -182,12 +182,6 @@ def test_basis_certificate_equals_the_sweep(poset):
         True, True)
 
 
-def test_criterion_8_report():
-    assert _run_criterion_8() == {
-        "criterion": 8, "name": "adapted basis bijection", "box_size": 6561,
-        "injective": True, "hits_radius2": True, "pass": True}
-
-
 def test_singular_basis_is_not_injective(poset, monkeypatch):
     """One entry's index set copied onto another: two columns of B agree."""
     def copied(axis, basis):
