@@ -90,7 +90,8 @@ def criterion_3(rng, cfg):
         pairs = [(charts[rng.randrange(len(charts))],
                   charts[rng.randrange(len(charts))])
                  for _ in range(cfg["c3_pairs"])]
-        vectors = [tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+        vectors = [tuple(Fraction(lattice.randints(rng, -12, 12, 1)[0],
+                                  lattice.randints(rng, 1, 4, 1)[0])
                          for _ in lat.axis)
                    for _ in range(cfg["c3_vectors"])]
         rep = lattice.verify_mutation_axioms(lat, vectors, pairs)
@@ -112,7 +113,7 @@ def criterion_4(rng, cfg):
         for chart in mco.charts_of(poset):
             shift = mco.transfer(poset, chart, uvec)
             for _ in range(cfg["c4_samples"]):
-                a = tuple(rng.randint(-6, 6) for _ in poset.axis)
+                a = tuple(lattice.randints(rng, -6, 6, len(poset.axis)))
                 lhs = mco.mu(poset, chart, a)
                 au = tuple(x + y for x, y in zip(a, uvec))
                 rhs = tuple(x - y
@@ -136,8 +137,8 @@ def criterion_5(rng, cfg):
                                                      cfg["c5_duals"])
         pairs = []
         for _ in range(cfg["c5_pairs"]):
-            m1 = lat.element(tuple(rng.randint(-4, 4) for _ in lat.axis))
-            m2 = lat.element(tuple(rng.randint(-4, 4) for _ in lat.axis))
+            m1 = lat.element(lattice.randints(rng, -4, 4, lat.dim))
+            m2 = lat.element(lattice.randints(rng, -4, 4, lat.dim))
             pairs.append((m1, m2, lat.upsilon(m1, m2),
                           [m1.scale(k) for k in range(4)]))
         for phi in functionals:

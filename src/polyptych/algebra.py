@@ -203,11 +203,11 @@ def valuation(f, lat):
 def random_sparse(rng, poset, terms=2):
     out = []
     for _ in range(terms):
-        m = mono({p: ((rng.randint(0, 2), 0)
+        m = mono({p: ((lattice.randints(rng, 0, 2, 1)[0], 0)
                       if rng.random() < 0.5
-                      else (0, rng.randint(0, 2)))
+                      else (0, lattice.randints(rng, 0, 2, 1)[0]))
                   for p in poset.axis if rng.random() < 0.7})
-        out.append((m, rng.randint(1, 5)))
+        out.append((m, lattice.randints(rng, 1, 5, 1)[0]))
     return element(out)
 
 
@@ -284,8 +284,10 @@ def jacobian_rank_at_samples(poset, rng, count=50, extra_points=()):
 
     def sampled():
         for _ in range(count):
-            xvals = {p: Fraction(rng.randint(1, 9) * rng.choice([-1, 1]),
-                                 rng.randint(1, 4)) for p in poset.axis}
+            xvals = {p: Fraction(lattice.randints(rng, 1, 9, 1)[0]
+                                 * rng.choice([-1, 1]),
+                                 lattice.randints(rng, 1, 4, 1)[0])
+                     for p in poset.axis}
             yield xvals, solve_variety_point(poset, tails, xvals)
 
     for xvals, yvals in chain(sampled(), extra_points):

@@ -84,6 +84,12 @@ class GTFamily:
         self.pihat = tuple(ij for ij in sorted(self.positions)
                            if (ij[0] + 1, ij[1]) in self.positions)
         self.units = tuple(sorted(set(self.positions) - set(self.pihat)))
+        # DualElement's y' solve, in reversed pihat order: axis indices of
+        # (i, j), (i+1, j) and (i+1, j-1) or None
+        index = self._axis_index
+        self.yp_plan = tuple((index[(i, j)], index[(i + 1, j)],
+                              index.get((i + 1, j - 1)))
+                             for i, j in reversed(self.pihat))
         self._dual_cones = None  # cone-chart covectors, filled by semialgebra
         self._dual_generators = None  # generator y-vectors, filled by lattice
 

@@ -11,9 +11,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import geometry, mco
 from .posets import graded_structure
+
+
+def randints(rng, lo, hi, n):
+    """The next n values of randint(lo, hi) on rng, drawn as CPython's
+    randint draws them (lo + _randbelow(width): getrandbits of width's bit
+    length until a value below width), so ``rng`` ends in the same state."""
+    width = hi - lo + 1
+    bits = width.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    while len(out) < n:
+        r = getrandbits(bits)
+        if r < width:
+            out.append(lo + r)
+    return out
 
 
 class AxiomFail(Exception):
@@ -180,17 +196,22 @@ class DualElement:
     grid positions, in axis order.  Its partner y' is solved from the
     triangular min-equations, from the top row downwards:
     y'_{i,j} = y_{i,j} - min(0, -y'_{i+1,j} + y_{i+1,j-1}) at the interior
-    positions and y'_{i,j} = y_{i,j} elsewhere."""
+    positions and y'_{i,j} = y_{i,j} elsewhere.  ``gaps`` holds the
+    arguments -y'_{i+1,j} + y_{i+1,j-1} of those mins in ``pihat`` order."""
 
-    __slots__ = ("fam", "y", "yp", "rows")
+    __slots__ = ("fam", "y", "yp", "gaps", "rows")
 
     def __init__(self, fam, y):
         self.fam = fam
-        self.y = tuple(y)
-        yp = list(self.y)
-        for i, j in reversed(fam.pihat):
-            gap = _dual_gap(fam, self.y, yp, i, j)
-            yp[fam.axis_index(i, j)] -= min(0, gap)
+        self.y = y = tuple(y)
+        yp = list(y)
+        gaps = []
+        for k, above, left in fam.yp_plan:
+            gap = -yp[above] if left is None else y[left] - yp[above]
+            gaps.append(gap)
+            if gap < 0:
+                yp[k] -= gap
+        self.gaps = tuple(reversed(gaps))
         self.yp = tuple(yp)
         # the pairing rows eval_w reads: (axis index of (i,j), that of
         # (i,j+1) or None, y, y')
@@ -204,12 +225,6 @@ class DualElement:
 
     def __repr__(self):
         return f"DualElement(y={self.y})"
-
-
-def _dual_gap(fam, y, yp, i, j):
-    """The argument -y'_{i+1,j} + y_{i+1,j-1} of the min-equation at (i,j)."""
-    left = fam._axis_index.get((i + 1, j - 1))
-    return -yp[fam.axis_index(i + 1, j)] + (0 if left is None else y[left])
 
 
 def _row_tail(fam, i, j):
@@ -277,22 +292,19 @@ def _linear_extension(rows, target):
     return Fraction(-t[n], scale)
 
 
-def chart_coord(fam, x, i, j):
-    """The (i,j)-coordinate of the chart {q_{i,j}} image of x."""
-    name = fam.positions[(i, j)]
-    return mco.mu(fam.poset, frozenset({name}), x)[fam.axis_index(i, j)]
-
-
 def eval_v(fam, x, dual):
     """Pairing v(m)(n): locate the dual cone containing n, determine the
     linear functional of m on that cone from its generator values, and
-    evaluate at the y-vector of n."""
-    signs = {(i, j): 1 if _dual_gap(fam, dual.y, dual.yp, i, j) <= 0 else -1
-             for (i, j) in fam.pihat}
+    evaluate at the y-vector of n.  The chart-{q_{i,j}} coordinate (i,j) of
+    x is that of the full chart's image (see the transfer maps in mco)."""
+    signs = {ij: 1 if gap <= 0 else -1
+             for ij, gap in zip(fam.pihat, dual.gaps)}
     ys = _generator_ys(fam)
-    rows = [(ys[(i, j, positive)], chart_coord(fam, x, i, j) if positive
-             else -fam.coord(x, i, j))
-            for i, j, positive in _cone_generators(fam, signs)]
+    image = mco.mu(fam.poset, frozenset(fam.axis), x)
+    rows = []
+    for i, j, positive in _cone_generators(fam, signs):
+        k = fam.axis_index(i, j)
+        rows.append((ys[(i, j, positive)], image[k] if positive else -x[k]))
     return _linear_extension(rows, dual.y)
 
 
@@ -312,8 +324,7 @@ def chart_cone_duals(fam, chart):
 
 
 def dual_in_cone(fam, dual, signs):
-    return all(s * _dual_gap(fam, dual.y, dual.yp, i, j) <= 0
-               for (i, j), s in signs.items())
+    return all(signs[ij] * gap <= 0 for ij, gap in zip(fam.pihat, dual.gaps))
 
 
 def dual_point(fam, dual):
@@ -325,8 +336,10 @@ def dual_point(fam, dual):
 
 def random_dual(fam, rng):
     """A dual element with entries drawn from [-4, 4], in position order."""
-    y = {ij: rng.randint(-4, 4) for ij in fam.positions}
-    return DualElement(fam, (y[fam.pos_of[name]] for name in fam.axis))
+    y = [0] * len(fam.axis)
+    for k, v in zip(fam._axis_index.values(), randints(rng, -4, 4, len(y))):
+        y[k] = v
+    return DualElement(fam, y)
 
 
 def verify_strict_dual(fam, rng, pairs=500, chart_samples=50):
@@ -338,27 +351,29 @@ def verify_strict_dual(fam, rng, pairs=500, chart_samples=50):
     cone induce points additive on that chart; each chart also exhibits an
     outside dual failing additivity).
     """
-    lat = PolyptychLattice(fam.poset)
+    poset, d = fam.poset, len(fam.axis)
     report = {"symmetry": 0, "injectivity": True, "charts": {}, "ok": True}
     seen = {}
     for _ in range(pairs):
-        x = tuple(rng.randint(-4, 4) for _ in fam.axis)
+        x = tuple(randints(rng, -4, 4, d))
         n = random_dual(fam, rng)
         if eval_w(fam, n, x) != eval_v(fam, x, n):
             raise DualFail(f"pairing symmetry fails at {x}, {n}")
         report["symmetry"] += 1
-        values = tuple(chart_coord(fam, x, i, j) for (i, j) in fam.positions
-                       ) + tuple(-c for c in x)
+        # the chart-{q_{i,j}} coordinates are the full chart's (see eval_v)
+        values = mco.mu(poset, frozenset(fam.axis), x) + tuple(-c for c in x)
         if seen.setdefault(values, x) != x:
             report["injectivity"] = False
             report["ok"] = False
 
     def additive(n, chart):
-        """Draw m1, m2 and say whether the point of n adds them on chart."""
-        phi = dual_point(fam, n)
-        m1 = lat.element(tuple(rng.randint(-3, 3) for _ in fam.axis))
-        m2 = lat.element(tuple(rng.randint(-3, 3) for _ in fam.axis))
-        return phi(lat.add_in_chart(m1, m2, chart)) == phi(m1) + phi(m2)
+        """Draw x1, x2 and say whether the point of n adds them on chart."""
+        x1 = randints(rng, -3, 3, d)
+        x2 = randints(rng, -3, 3, d)
+        total = tuple(map(add, mco.mu(poset, chart, x1),
+                          mco.mu(poset, chart, x2)))
+        return (eval_w(fam, n, mco.mu_inverse(poset, chart, total))
+                == eval_w(fam, n, x1) + eval_w(fam, n, x2))
 
     for chart in mco.charts_of(fam.poset):
         signs = chart_sign_vector(fam, chart)

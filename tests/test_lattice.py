@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from operator import add
+from pathlib import Path
 
 import pytest
 
@@ -335,7 +336,7 @@ def test_eval_w_matches_row_expansion(fam):
 
 
 # ---------------------------------------------------------------------------
-# the y' solver of DualElement against the min-equations and the closed forms
+# the y' solver of DualElement against the closed forms
 
 def by_position(fam, vec):
     return {fam.pos_of[name]: v for name, v in zip(fam.axis, vec)}
@@ -370,19 +371,6 @@ def test_dual_generators_match_closed_form(fam):
                 fam, i, j), (positive, i, j)
 
 
-@FAMILIES
-def test_random_duals_satisfy_min_equations(fam):
-    rng = random.Random(7)
-    for _ in range(40):
-        d = lattice.random_dual(fam, rng)
-        y, yp = by_position(fam, d.y), by_position(fam, d.yp)
-        for (i, j) in fam.positions:
-            expect = 0
-            if (i + 1, j) in fam.positions:
-                expect = min(0, -yp[(i + 1, j)] + y.get((i + 1, j - 1), 0))
-            assert y[(i, j)] - yp[(i, j)] == expect, (i, j)
-
-
 def test_eval_v_builds_no_dual_element(monkeypatch):
     """eval_v reads the generator y-vectors from the family's table, built
     without a DualElement, and agrees with eval_w."""
@@ -397,3 +385,150 @@ def test_eval_v_builds_no_dual_element(monkeypatch):
     monkeypatch.setattr(lattice.DualElement, "__init__", forbidden)
     for x, n in samples:
         assert lattice.eval_v(fam, x, n) == lattice.eval_w(fam, n, x)
+
+
+# ---------------------------------------------------------------------------
+# randints against randint, draw for draw
+
+RANGES = [(-4, 4), (-3, 3), (-6, 6), (-12, 12), (1, 4), (0, 2), (5, 5),
+          (0, 7), (0, 8), (1, 5), (1, 9)]
+
+
+def _draws_match(sampler):
+    """Whether sampler(rng, lo, hi, n) returns the next n values of
+    rng.randint(lo, hi) and leaves rng in the same state, on every range
+    above, several seeds and several lengths.  randint's algorithm is not
+    promised across Python versions; this is what holds it."""
+    for lo, hi in RANGES:
+        for seed in range(6):
+            for n in (0, 1, 9, 40):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                if (sampler(ours, lo, hi, n)
+                        != [theirs.randint(lo, hi) for _ in range(n)]
+                        or ours.getstate() != theirs.getstate()):
+                    return False
+    return True
+
+
+def test_randints_is_randint_draw_for_draw():
+    assert _draws_match(lattice.randints)
+
+
+def test_sampler_drawing_one_bit_more_is_caught():
+    def wide(rng, lo, hi, n):
+        width = hi - lo + 1
+        out = []
+        while len(out) < n:
+            r = rng.getrandbits(width.bit_length() + 1)
+            if r < width:
+                out.append(lo + r)
+        return out
+
+    assert not _draws_match(wide)
+
+
+def test_the_package_draws_integers_through_randints():
+    package = Path(lattice.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if ".randint(" in p.read_text()] == []
+
+
+# ---------------------------------------------------------------------------
+# y', the gaps, dual_in_cone and eval_v against the per-position oracles
+
+def _dual_gap(fam, y, yp, i, j):
+    """The argument -y'_{i+1,j} + y_{i+1,j-1} of the min-equation at (i,j)."""
+    left = fam._axis_index.get((i + 1, j - 1))
+    return -yp[fam.axis_index(i + 1, j)] + (0 if left is None else y[left])
+
+
+def chart_coord(fam, x, i, j):
+    """The (i,j)-coordinate of the chart {q_{i,j}} image of x."""
+    name = fam.positions[(i, j)]
+    return mco.mu(fam.poset, frozenset({name}), x)[fam.axis_index(i, j)]
+
+
+def _sample_duals(fam, count=40):
+    ys = lattice._generator_ys(fam)
+    rng = random.Random(7)
+    return ([lattice.DualElement(fam, y) for y in ys.values()]
+            + [lattice.random_dual(fam, rng) for _ in range(count)])
+
+
+def _solve_mismatches(fam, duals):
+    """The duals whose y' breaks a min-equation or whose gaps differ from
+    the oracle's, read at the final y'."""
+    bad = []
+    for d in duals:
+        y, yp = by_position(fam, d.y), by_position(fam, d.yp)
+        equations = all(
+            y[(i, j)] - yp[(i, j)] == (
+                min(0, -yp[(i + 1, j)] + y.get((i + 1, j - 1), 0))
+                if (i + 1, j) in fam.positions else 0)
+            for (i, j) in fam.positions)
+        gaps = tuple(_dual_gap(fam, d.y, d.yp, i, j) for i, j in fam.pihat)
+        if not equations or d.gaps != gaps:
+            bad.append(d)
+    return bad
+
+
+@FAMILIES
+def test_random_duals_satisfy_min_equations(fam):
+    """y' and the gaps of every generator and of 40 random duals."""
+    assert _solve_mismatches(fam, _sample_duals(fam)) == []
+
+
+@pytest.mark.parametrize("family, n, lam", [
+    ("A", 3, (0, 1, 3, 5)), ("C", 3, (2, 4, 6))], ids=["A3", "C3"])
+def test_plan_without_a_left_index_is_caught(family, n, lam):
+    fam = GTFamily(family, n, lam)
+    plan = fam.yp_plan
+    spoiled = [e for e, (_, _, left) in enumerate(plan) if left is not None]
+    assert spoiled
+    for e in spoiled:
+        fam.yp_plan = (*plan[:e], (*plan[e][:2], None), *plan[e + 1:])
+        assert _solve_mismatches(fam, _sample_duals(fam)), e
+
+
+@FAMILIES
+def test_dual_in_cone_matches_the_oracle_on_every_chart(fam):
+    duals = _sample_duals(fam, 10)
+    inside = 0
+    for chart in mco.charts_of(fam.poset):
+        signs = lattice.chart_sign_vector(fam, chart)
+        for d in duals:
+            expect = all(s * _dual_gap(fam, d.y, d.yp, i, j) <= 0
+                         for (i, j), s in signs.items())
+            assert lattice.dual_in_cone(fam, d, signs) == expect
+            inside += expect
+    assert 0 < inside < len(duals) * 2 ** len(fam.axis)
+
+
+@FAMILIES
+def test_eval_v_rows_match_chart_coord(fam, monkeypatch):
+    """eval_v reads every chart-{q_{i,j}} coordinate from one full-chart mu
+    call; its rows equal those built from one chart_coord per generator."""
+    rng = random.Random(13)
+    samples = [(tuple(rng.randint(-9, 9) for _ in fam.axis), d)
+               for d in _sample_duals(fam, 10)]
+    ys = lattice._generator_ys(fam)
+    extend = lattice._linear_extension
+    seen = []
+
+    def recorded(rows, target):
+        seen.append(rows)
+        return extend(rows, target)
+
+    monkeypatch.setattr(lattice, "_linear_extension", recorded)
+    calls = []
+    mu = mco.mu
+    monkeypatch.setattr(mco, "mu", lambda *a: calls.append(a) or mu(*a))
+    for x, d in samples:
+        signs = {(i, j): 1 if _dual_gap(fam, d.y, d.yp, i, j) <= 0 else -1
+                 for (i, j) in fam.pihat}
+        expect = [(ys[(i, j, positive)], chart_coord(fam, x, i, j)
+                   if positive else -fam.coord(x, i, j))
+                  for i, j, positive in lattice._cone_generators(fam, signs)]
+        calls.clear()
+        assert lattice.eval_v(fam, x, d) == lattice.eval_w(fam, d, x)
+        assert seen.pop() == expect and len(calls) == 1
