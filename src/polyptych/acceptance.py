@@ -135,20 +135,13 @@ def criterion_5(rng, cfg):
         lat = lattice.PolyptychLattice(fam.poset)
         functionals = semialgebra.sample_functionals(fam, rng,
                                                      cfg["c5_duals"])
-        pairs = []
-        for _ in range(cfg["c5_pairs"]):
-            m1 = lat.element(lattice.randints(rng, -4, 4, lat.dim))
-            m2 = lat.element(lattice.randints(rng, -4, 4, lat.dim))
-            pairs.append((m1, m2, lat.upsilon(m1, m2),
-                          [m1.scale(k) for k in range(4)]))
-        for phi in functionals:
-            for m1, m2, ups, scaled in pairs:
-                v1 = phi(m1)
-                if v1 + phi(m2) != min(phi(s) for s in ups):
-                    ok = False
-                for k, mk in enumerate(scaled):
-                    if phi(mk) != k * v1:
-                        ok = False
+        pairs = [(lat.element(lattice.randints(rng, -4, 4, lat.dim)),
+                  lat.element(lattice.randints(rng, -4, 4, lat.dim)))
+                 for _ in range(cfg["c5_pairs"])]
+        try:
+            lattice.verify_point_axioms(lat, functionals, pairs)
+        except lattice.AxiomFail:
+            ok = False
         details[str(n)] = {"functionals": len(functionals),
                            "pairs": len(pairs)}
     return {"criterion": 5, "name": "point axioms", "details": details,

@@ -12,6 +12,7 @@ whose message names the command line, as in
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import shlex
@@ -109,12 +110,9 @@ def _validated(poset):
 def _shift(poset):
     _validated(poset)
     try:
-        try:
-            return choose_u(poset)
-        except NoInteriorU:
-            return choose_u(poset, strict=False)
-    except PosetError as exc:
-        raise click.UsageError(f"unsupported poset: {exc}")
+        return choose_u(poset)
+    except NoInteriorU:
+        return choose_u(poset, strict=False)
 
 
 def _emit(report, ok=True, code=None):
@@ -148,7 +146,16 @@ class _Main(click.Group):
                              "message": message}}, code=3)
 
 
-def _source_options(fn):
+def _source_options(body):
+    """The poset-source options, and exit 2 on a poset the command does not
+    support, raised inside the command so that the usage lines show."""
+    @functools.wraps(body)
+    def fn(**params):
+        try:
+            return body(**params)
+        except PosetError as exc:
+            raise click.UsageError(f"unsupported poset: {exc}")
+
     fn = click.option("--family", default=None,
                       help="builder family: gtA or gtC")(fn)
     fn = click.option("--n", type=click.IntRange(min=1), default=None)(fn)
@@ -195,8 +202,6 @@ def classify(**params):
     except SpadeViolation as exc:
         _emit({"command": "classify", "ok": False, "error": str(exc)},
               ok=False)
-    except PosetError as exc:
-        raise click.UsageError(f"unsupported poset: {exc}")
     comps = [{"level": c.level, "shape": c.shape,
               "lower": list(c.lower), "upper": list(c.upper)}
              for c in cls.components]
@@ -258,10 +263,6 @@ def hilbert(kmax, **params):
     """Graded dimensions against chart lattice-point counts."""
     poset, _ = _load_poset(params)
     u = _shift(poset)
-    try:
-        classify_spade(poset)
-    except PosetError as exc:
-        raise click.UsageError(f"unsupported poset: {exc}")
     rep = degeneration.hilbert_vs_ehrhart(poset, u, kmax)
     _emit({"command": "hilbert", "kmax": kmax, "report": rep},
           ok=rep["ok"])
@@ -322,10 +323,7 @@ def cox(what, **params):
     """Cox-ring counts, semigroup generators, or the presentation."""
     poset, fam = _load_poset(params)
     if what == "counts":
-        try:
-            cc = cox_mod.cox_counts(poset)
-        except PosetError as exc:
-            raise click.UsageError(f"unsupported poset: {exc}")
+        cc = cox_mod.cox_counts(poset)
         _emit({"command": "cox", "emit": what,
                "U": cc.U, "L": cc.L, "variables": cc.variables,
                "perLevel": {str(k): v

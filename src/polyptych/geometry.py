@@ -501,12 +501,6 @@ def _included(v, h):
     return True
 
 
-def minkowski_sum_hull(points, cone_covectors, dim):
-    """conv(points) + K* where K* = {x : w.x >= 0 for each covector w}."""
-    lin, rays = cone_rays([tuple(w) for w in cone_covectors], dim)
-    return VPolyhedron(dim, points, rays, lin)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra
 

@@ -276,6 +276,20 @@ def _triangular(plan):
     return True
 
 
+def _certify(plan, rows):
+    """Raise geometry.UnimodularityFail naming the first clause of the
+    transfer certificate that a full mu plan and chart 0's rows fail."""
+    for clause, holds in [
+            ("the mu plan is not triangular", _triangular(plan)),
+            ("a mu plan constant is neither None nor 0",
+             all(m in (None, 0) for _, _, m in plan)),
+            ("a chart-0 row is not +-e_i or e_i - e_j",
+             all(sorted(c for c in a if c) in ([], [-1], [1], [-1, 1])
+                 for a, _ in rows))]:
+        if not holds:
+            raise geometry.UnimodularityFail(f"transfer certificate: {clause}")
+
+
 def _least(columns, form, size):
     """The least value over the size stored points of a linear form given
     as (column, coefficient) pairs, where columns[j] holds coordinate j of
@@ -312,34 +326,24 @@ def verify_transfer_bijection(poset, u, k):
     its count points, and all of them exactly when count == count_0.  So
     match <=> inside and count == count_0, and image_count is count_0.  A
     least value depends only on the row's coefficients on the 2d columns,
-    so it is computed once per such form and call.  A plan that is not
-    triangular falls back to the distinct image count, which must then be
-    count_0 as well.
+    so it is computed once per such form and call.
 
-    Why listing at ``level = min(k, 1)`` suffices: chart 0's rows are
-    +-e_i or e_i - e_j with integer right-hand sides (Fang and Fourier,
-    "Marked chain-order polytopes", European J. Combin. 58, 2016), and so
-    are the rows of each cell of the mu plan, on which every mu_C is linear
-    (see the transfer-maps comment).  Such a matrix is totally unimodular,
-    so chart 0 meets each cell in a polytope with lattice vertices (Hoffman
-    and Kruskal, "Integral boundary points of convex polyhedra", 1956), all
-    among the points at k = 1.  If those map inside the chart-C polytope
-    and its box, all of chart 0 does, and so at every k, since mu and the
-    box are positively homogeneous.  The certificate checks chart 0's row
-    shapes, that the mu plan's constants are None or 0, and that the plan
-    is triangular; when it fails, chart 0 is listed at k.
+    Why listing at ``level = min(k, 1)`` suffices: chart 0 meets each cell
+    of the mu plan in a polytope with lattice vertices, all among the points
+    at k = 1 (see the transfer-maps comment).  If those map inside the
+    chart-C polytope and its box, all of chart 0 does, and so at every k,
+    since mu and the box are positively homogeneous.  ``_certify`` checks
+    the hypotheses, which build_mco and _compile make hold on every poset:
+    a triangular mu plan with constants None or 0, and chart-0 rows +-e_i
+    or e_i - e_j.
     """
     axis = poset.axis
     full = frozenset(axis)
     d = len(axis)
     charts = charts_of(poset)
     polys = [hat_delta(poset, u, chart) for chart in charts]
-    plan = _plans(poset, full)[1]
-    injective = _triangular(plan)
-    alcoved = all(sorted(c for c in a if c) in ([], [-1], [1], [-1, 1])
-                  for a, _ in polys[0].rows)
-    level = min(k, 1) if injective and alcoved and all(
-        m in (None, 0) for _, _, m in plan) else k
+    _certify(_plans(poset, full)[1], polys[0].rows)
+    level = min(k, 1)
     counts = geometry.count_lattice_points_batch(
         [(poly.dilate(k), _box(poset, u, chart, k))
          for chart, poly in zip(charts, polys)])
@@ -356,11 +360,8 @@ def verify_transfer_bijection(poset, u, k):
                  for a, b in poly.rows]
         for j, (lo, hi) in zip(pick, _box(poset, u, chart, level)):
             forms += [(((j, 1),), lo), (((j, -1),), -hi)]
-        inside = all(least(form) >= b for form, b in forms)
-        image = counts[0] if injective else len(set(zip(*(columns[j]
-                                                          for j in pick))))
-        ok = inside and count == image == counts[0]
+        ok = count == counts[0] and all(least(form) >= b for form, b in forms)
         report["charts"][chart_str(chart)] = {
-            "count": count, "image_count": image, "match": ok}
+            "count": count, "image_count": counts[0], "match": ok}
         report["ok"] = report["ok"] and ok
     return report

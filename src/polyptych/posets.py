@@ -99,10 +99,6 @@ class MarkedPoset:
         self._relations = None  # relation tails, filled by algebra
         self._basis = None      # adapted basis table, filled by algebra
 
-    @property
-    def marked(self):
-        return frozenset(self.marking)
-
     def is_marked(self, e):
         return e in self.marking
 

@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from polyptych import acceptance, algebra, cli, families
+from polyptych import acceptance, algebra, cli, families, semialgebra
 
 # sha256 of `polyptych acceptance --profile quick|full --seed 0`; a change
 # that moves one must update it and say why.
@@ -254,3 +254,23 @@ def test_criterion_8_maps_each_unit_vector_once(monkeypatch):
     d = len(acceptance._fam_C2().poset.axis)
     assert 0 < calls["monomial_to_m"] <= d
     assert 0 < calls["m_to_monomial"] <= d
+
+
+# ---------------------------------------------------------------------------
+# criterion 5 refuses a functional that is not a point
+
+def test_criterion_5_fails_on_a_functional_that_is_not_a_point(monkeypatch):
+    sample = semialgebra.sample_functionals
+
+    def with_abs(fam, rng, count):
+        return [*sample(fam, rng, count), lambda m: abs(m.coord0[0])]
+
+    cfg = acceptance.PROFILES["quick"]
+    honest = acceptance.criterion_5(random.Random(0), cfg)
+    assert honest["pass"] is True
+    monkeypatch.setattr(semialgebra, "sample_functionals", with_abs)
+    report = acceptance.criterion_5(random.Random(0), cfg)
+    assert report["pass"] is False
+    for entry in honest["details"].values():
+        entry["functionals"] += 1
+    assert report["details"] == honest["details"]

@@ -289,6 +289,33 @@ def test_hilbert_non_spade_poset_is_usage_error(runner, tmp_path):
     assert_usage_error(result, "3 legs")
 
 
+NOT_GRADED_ERROR = ("[('NOT_GRADED', \"cover ('p3', 'top') skips a "
+                    "rank\")]")
+NOT_GRADED_INVALID = "NOT_GRADED (cover ('p3', 'top') skips a rank)"
+FAN_ERROR = "level 1: upper element q has 3 legs, need 2"
+
+
+@pytest.mark.parametrize("command, content, error", [
+    ("classify", NOT_GRADED, "unsupported poset: " + NOT_GRADED_ERROR),
+    ("cox", NOT_GRADED, "unsupported poset: " + NOT_GRADED_ERROR),
+    ("hilbert", NOT_GRADED, "invalid poset: " + NOT_GRADED_INVALID),
+    ("transfer", NOT_GRADED, "invalid poset: " + NOT_GRADED_INVALID),
+    ("hilbert", FAN, "unsupported poset: " + FAN_ERROR),
+    ("cox", FAN, "unsupported poset: " + FAN_ERROR),
+], ids=["classify-ng", "cox-ng", "hilbert-ng", "transfer-ng", "hilbert-fan",
+        "cox-fan"])
+def test_unsupported_poset_output_is_pinned(runner, tmp_path, command,
+                                            content, error):
+    # the whole output, usage lines included, as the commands printed it
+    # when each caught PosetError itself
+    result = runner.invoke(main, [command, "--poset",
+                                  _poset_file(tmp_path, content)])
+    assert result.exit_code == 2
+    assert result.output == (
+        f"Usage: main {command} [OPTIONS]\n"
+        f"Try 'main {command} --help' for help.\n\nError: {error}\n")
+
+
 CHAIN = {"elements": ["a", "p", "c"], "covers": [["a", "p"], ["p", "c"]]}
 
 

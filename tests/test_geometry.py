@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from polyptych import geometry
 
+from test_semialgebra import minkowski_sum_hull
+
 
 def square(side):
     h = geometry.HPolyhedron(2)
@@ -135,7 +137,7 @@ def test_h_to_v_dimension_cap():
 def test_minkowski_sum_hull_segment():
     trivial_cone = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     hull = geometry.v_to_h(
-        geometry.minkowski_sum_hull([(0, 0), (1, 1)], trivial_cone, 2))
+        minkowski_sum_hull([(0, 0), (1, 1)], trivial_cone, 2))
     assert hull.contains((Fraction(1, 2), Fraction(1, 2)))
     assert not hull.contains((1, 0))
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from polyptych import geometry, lattice, mco
+from polyptych import cox, geometry, lattice, mco
 from polyptych.families import GTFamily
 from polyptych.posets import (MarkedPoset, basic_pi1, basic_pi2, chain_poset,
                               choose_u)
@@ -173,8 +173,26 @@ def test_strict_dual_report_is_pinned():
         "a7ba0aedcff19db502e32d1bee73112ab6dc431ace72f93f719a13aba08dcc05")
 
 
+def not_a_point(m):
+    """|x_0|: homogeneous, but not min-additive across charts."""
+    return abs(m.coord0[0])
+
+
+def test_point_axioms_refuse_a_functional_that_is_not_a_point(fam_C2):
+    lat = lat_of(fam_C2)
+    pairs = _seeded_pairs(lat, random.Random(7), 10)
+    points = lattice.structural_points(fam_C2.poset)
+    assert lattice.verify_point_axioms(lat, points, pairs) == {
+        "pairs": 10, "ok": True}
+    with pytest.raises(lattice.AxiomFail, match="^additivity"):
+        lattice.verify_point_axioms(lat, [*points, not_a_point], pairs)
+    with pytest.raises(lattice.AxiomFail, match="^additivity"):
+        lattice.verify_point_axiom(lat, not_a_point, pairs)
+
+
 def test_structural_point_labels(fam_C2):
-    labels = {p.label() for p in lattice.structural_points(fam_C2.poset)}
+    labels = {cox.divisor_label(p)
+              for p in lattice.structural_points(fam_C2.poset)}
     assert len(labels) == len(lattice.structural_points(fam_C2.poset))
 
 
@@ -223,8 +241,9 @@ def chart_sums_all_charts(poset, x1, x2):
 def random_dag(rng, size=6):
     """Hasse diagram of a random poset, usually not graded: marked bottom
     and top, elements each above one to three earlier ones, the top
-    covering every maximal element, and one element that is covered by
-    another marked as well.  Redundant relations are dropped."""
+    covering every maximal element, and, when some element other than the
+    bottom is covered by one other than the top, one such element marked
+    as well.  Redundant relations are dropped."""
     names = [f"e{k}" for k in range(size)]
     below = {}  # element -> every element below it
     covers = set()
@@ -237,9 +256,10 @@ def random_dag(rng, size=6):
     covers.update((p, "top") for p in maximal)
     covers = [(q, p) for q, p in covers if not any(
         q in below.get(r, ()) for r, pp in covers if pp == p)]
-    middle = rng.choice(sorted(q for q, p in covers if p != "top"
-                               and q != "bot"))
-    marking = {"bot": 0, "top": 9, middle: rng.randint(0, 9)}
+    marking = {"bot": 0, "top": 9}
+    middle = sorted(q for q, p in covers if p != "top" and q != "bot")
+    if middle:  # at size 3 there may be none
+        marking[rng.choice(middle)] = rng.randint(0, 9)
     return MarkedPoset(["bot", "top", *names], covers, marking)
 
 

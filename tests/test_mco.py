@@ -1,3 +1,4 @@
+import random
 from functools import cache
 from operator import add
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyptych import geometry, mco
+from polyptych import families, geometry, lattice, mco
 from polyptych.posets import MarkedPoset, choose_u, gt_type_A, gt_type_C
+
+from test_lattice import random_dag
 
 FAMILIES = {"A2": ("A", 2, (0, 2, 4)), "A3": ("A", 3, (0, 2, 4, 6)),
             "C1": ("C", 1, (2,)), "C2": ("C", 2, (2, 4)),
@@ -203,12 +206,12 @@ def _counting_mu(monkeypatch):
     return charts
 
 
-def test_non_alcoved_chart_0_row_lists_chart_0_at_k(fam_C2, monkeypatch):
+def test_non_alcoved_chart_0_row_fails_the_certificate(fam_C2,
+                                                       monkeypatch):
     # the sum of two chart-0 rows is redundant but not of the form +-e_i or
-    # e_i - e_j, so the certificate refuses and chart 0 is listed at k
+    # e_i - e_j, so the certificate refuses before any point is mapped
     p = fam_C2.poset
     u = choose_u(p)
-    expected = mco.verify_transfer_bijection(p, u, 2)
     built = mco.hat_delta
 
     def redundant(poset, u, chart):
@@ -221,31 +224,28 @@ def test_non_alcoved_chart_0_row_lists_chart_0_at_k(fam_C2, monkeypatch):
 
     monkeypatch.setattr(mco, "hat_delta", redundant)
     charts = _counting_mu(monkeypatch)
-    assert mco.verify_transfer_bijection(p, u, 2) == expected
-    assert len(charts) == 625
+    with pytest.raises(geometry.UnimodularityFail, match="chart-0 row"):
+        mco.verify_transfer_bijection(p, u, 2)
+    assert charts == []
 
 
-def test_transfer_plan_in_place_of_mu_is_refused(monkeypatch):
+def test_transfer_plan_in_place_of_mu_fails_the_certificate(monkeypatch):
     # the transfer plan's marked covers give -lam, not 0: transfer is not
-    # homogeneous, so chart 0 is listed at k and the images leave a chart
+    # homogeneous, so the k = 1 points cannot stand for k
     p = gt_type_A(2, (0, 2, 4))  # a fresh poset: the plan memo is spoiled
     u = choose_u(p)
     plans = mco._plans
     monkeypatch.setattr(mco, "_plans",
                         lambda poset, chart: (plans(poset, chart)[0],) * 2)
     charts = _counting_mu(monkeypatch)
-    rep = mco.verify_transfer_bijection(p, u, 2)
-    assert len(charts) == 125
-    assert rep == _oracle_report(p, u, 2)
-    assert rep["ok"] is False
+    with pytest.raises(geometry.UnimodularityFail, match="constant"):
+        mco.verify_transfer_bijection(p, u, 2)
+    assert charts == []
 
 
-def test_plan_reading_a_later_axis_falls_back_to_distinct_images(
-        monkeypatch):
-    # the first entry of the full mu plan reads the axis placed second, so
-    # mu need not be injective and the distinct image points are counted
-    p = gt_type_A(2, (0, 2, 4))  # a fresh poset: the plan memo is spoiled
-    u = choose_u(p)
+def _later_axis_plans(monkeypatch, p):
+    """Spoil the full mu plan of p: its first entry reads the axis placed
+    second, so the plan is not triangular and mu need not be injective."""
     full = frozenset(p.axis)
     plans = mco._plans
 
@@ -258,13 +258,58 @@ def test_plan_reading_a_later_axis_falls_back_to_distinct_images(
 
     monkeypatch.setattr(mco, "_plans", cyclic)
     assert not mco._triangular(mco._plans(p, full)[1])
-    rep = mco.verify_transfer_bijection(p, u, 1)
-    assert rep == _oracle_report(p, u, 1)
-    assert rep["ok"] is False
-    assert rep["charts"]["q12,q21"] == {
+
+
+def test_plan_reading_a_later_axis_fails_the_certificate(monkeypatch):
+    # the oracle finds only 12 distinct images on chart {q12, q21} at k = 1
+    p = gt_type_A(2, (0, 2, 4))  # a fresh poset: the plan memo is spoiled
+    u = choose_u(p)
+    _later_axis_plans(monkeypatch, p)
+    assert _oracle_report(p, u, 1)["charts"]["q12,q21"] == {
         "count": 27, "image_count": 12, "match": False}
-    # such a plan fails the certificate, so chart 0 is listed at k itself
-    assert mco.verify_transfer_bijection(p, u, 2) == _oracle_report(p, u, 2)
+    for k in (1, 2):
+        with pytest.raises(geometry.UnimodularityFail, match="triangular"):
+            mco.verify_transfer_bijection(p, u, k)
+
+
+def test_strict_dual_injectivity_is_refused_on_a_non_triangular_plan(
+        monkeypatch):
+    # the INNER values are mu(full, x); with the full mu plan's first entry
+    # reading a later axis, injectivity is not certified (a fresh family:
+    # the plan memo is spoiled)
+    fam = families.GTFamily("C", 2, (2, 4))
+    _later_axis_plans(monkeypatch, fam.poset)
+    rep = lattice.verify_strict_dual(fam, random.Random(0), pairs=0,
+                                     chart_samples=1)
+    assert rep["injectivity"] is False and rep["ok"] is False
+    assert all(entry["ok"] for entry in rep["charts"].values())
+    # such a mu also breaks pairing symmetry, which the samples refuse
+    with pytest.raises(lattice.DualFail, match="inconsistent"):
+        lattice.verify_strict_dual(fam, random.Random(0), pairs=5,
+                                   chart_samples=1)
+
+
+@pytest.mark.parametrize("poset", [
+    gt_type_A(2, (0, 2, 4)), gt_type_A(3, (0, 2, 4, 6)),
+    gt_type_A(4, (0, 2, 4, 6, 8)), gt_type_C(2, (2, 4)),
+    gt_type_C(3, (2, 4, 6)), gt_type_C(4, (2, 4, 6, 8))],
+    ids=["A2", "A3", "A4", "C2", "C3", "C4"])
+def test_the_transfer_certificate_holds_on_the_families(poset):
+    # hat_delta's chart-0 rows are build_mco's, translated
+    mco._certify(mco._plans(poset, frozenset(poset.axis))[1],
+                 mco.build_mco(poset, frozenset()).rows)
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
+def test_the_transfer_certificate_holds_on_random_dags(size):
+    # most of these posets are not graded, so they have no shift vector
+    # and no transfer check; the certificate reads no shift vector.  Seven
+    # draws at size 2 and one at size 3 mark no middle element.
+    rng = random.Random(size)
+    for _ in range(40):
+        poset = random_dag(rng, size)
+        mco._certify(mco._plans(poset, frozenset(poset.axis))[1],
+                     mco.build_mco(poset, frozenset()).rows)
 
 
 def test_full_mu_plans_are_triangular():

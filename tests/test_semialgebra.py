@@ -88,14 +88,20 @@ def test_leq_reflexive_and_sum_is_lower_bound(fam_C2, rng):
 # ---------------------------------------------------------------------------
 # equality over one chart per dual cone, against the all-chart loop
 
+def minkowski_sum_hull(points, cone_covectors, dim):
+    """conv(points) + K* where K* = {x : w.x >= 0 for each covector w}."""
+    lin, rays = geometry.cone_rays([tuple(w) for w in cone_covectors], dim)
+    return geometry.VPolyhedron(dim, points, rays, lin)
+
+
 def _chart_equal(fam, chart, a, b):
     """The hull test on one chart, with K-dual rebuilt from the chart's cone
     covectors."""
     covectors = semialgebra.chart_cone_covectors(fam, chart)
-    ha = geometry.minkowski_sum_hull([m.chart(chart) for m in a.gens],
-                                     covectors, len(fam.axis))
-    hb = geometry.minkowski_sum_hull([m.chart(chart) for m in b.gens],
-                                     covectors, len(fam.axis))
+    ha = minkowski_sum_hull([m.chart(chart) for m in a.gens],
+                            covectors, len(fam.axis))
+    hb = minkowski_sum_hull([m.chart(chart) for m in b.gens],
+                            covectors, len(fam.axis))
     return geometry.polyhedron_equal(ha, hb)
 
 
