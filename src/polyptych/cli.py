@@ -23,8 +23,9 @@ import click
 from . import (acceptance as acceptance_mod, algebra, cox as cox_mod,
                degeneration, families, lattice, mco)
 from .geometry import BoxTooLarge, DimCapExceeded
-from .posets import (MarkedPoset, NoInteriorU, PosetError, SpadeViolation,
-                     choose_u, classify_spade, validate as validate_poset)
+from .posets import (MarkedPoset, NoInteriorU, NotGraded, PosetError,
+                     SpadeViolation, choose_u, classify_spade,
+                     validate as validate_poset)
 
 VERSION = "0.1.0"
 
@@ -103,8 +104,7 @@ def _validated(poset):
     """Exit 2, listing the error codes, on a poset that fails validate."""
     diag = validate_poset(poset)
     if not diag.ok:
-        raise click.UsageError("invalid poset: " + "; ".join(
-            f"{code} ({message})" for code, message in diag.errors))
+        raise click.UsageError(f"invalid poset: {diag.message}")
 
 
 def _shift(poset):
@@ -148,11 +148,15 @@ class _Main(click.Group):
 
 def _source_options(body):
     """The poset-source options, and exit 2 on a poset the command does not
-    support, raised inside the command so that the usage lines show."""
+    support, raised inside the command so that the usage lines show.  A
+    poset that is not graded fails validate, and reads as _validated
+    reports it."""
     @functools.wraps(body)
     def fn(**params):
         try:
             return body(**params)
+        except NotGraded as exc:
+            raise click.UsageError(f"invalid poset: {exc}")
         except PosetError as exc:
             raise click.UsageError(f"unsupported poset: {exc}")
 

@@ -17,7 +17,10 @@ the complete subproblem below its depth (the box suffix and, per distinct
 row suffix, the largest residual right-hand side among its rows when that
 can bind), and such a key names the same lattice points whichever system
 it comes from.  The charts of one dilation share most of their rows, and
-so most of their subtrees.
+so most of their subtrees.  The search fixes axis 0 first; how much it
+shares depends on that order, so a caller that knows a better one permutes
+its systems' axes (``mco`` searches its charts from the top of the poset
+down).
 
 The two resource limits are module constants, read where they are enforced:
 ``DIM_CAP`` by ``cone_rays`` (and ``semialgebra.equal_exact``) and
@@ -98,6 +101,14 @@ class HPolyhedron:
         for a, b in rows:
             self.add(a, b)
 
+    @classmethod
+    def integral(cls, dim, rows):
+        """The polyhedron of a list of rows already integral, (tuple of
+        ints, int) each, taken as they stand rather than rescaled."""
+        out = cls(dim)
+        out.rows = rows
+        return out
+
     def add(self, a, b):
         if len(a) != self.dim:
             raise GeometryError(f"row dimension {len(a)} != {self.dim}")
@@ -121,9 +132,7 @@ class HPolyhedron:
         an int, and rescaled row by row by ``add`` otherwise."""
         if not all(type(x) is int for x in by):
             return HPolyhedron(self.dim, rows)
-        out = HPolyhedron(self.dim)
-        out.rows = rows
-        return out
+        return HPolyhedron.integral(self.dim, rows)
 
     def to_json(self):
         return {"ineqs": [[*a, str(b)] for a, b in self.rows]}
@@ -312,15 +321,20 @@ def count_lattice_points_batch(systems):
                 if started and k < last:
                     sid = suffixes.setdefault(a[k:], len(suffixes))
                     groups[k].setdefault(sid, (sid, [], least))[1].append(r)
+        # a group of one row, as most are, holds that row's index, which
+        # reads its residual with no max
         keys = [(boxes.setdefault(tuple(box[k:]), len(boxes)),
-                 sorted(groups[k].values())) for k in range(last)]
+                 [(sid, rows[0] if len(rows) == 1 else rows, least)
+                  for sid, rows, least in sorted(groups[k].values())])
+                for k in range(last)]
         residual = need.__getitem__
 
         def count(k):
             bid, suffix_groups = keys[k]
             key = [bid]
             for sid, rows, least in suffix_groups:
-                m = max(map(residual, rows))
+                m = (need[rows] if rows.__class__ is int
+                     else max(map(residual, rows)))
                 if m > least:
                     key += sid, m
             key = tuple(key)

@@ -6,6 +6,9 @@ A chart is the subset C of unmarked elements treated chain-style; the rest
 the marked order polytope (chart 0) onto the chart-C polytope; its
 translation-free linearization ``mu`` glues the charts of the polyptych
 lattice.
+
+The chart polytopes of one dilation are counted in one batch, searched from
+the top of the poset down (``_count_top_down``).
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ def build_mco(poset, chart):
                     stack.append((b, chain + (b,)))
                 else:
                     rows.append(_chain_row(poset, index, dim, a, chain, b))
-    return geometry.HPolyhedron(dim, rows)
+    # markings are integers, so the rows are integral as they stand
+    return geometry.HPolyhedron.integral(dim, rows)
 
 
 def _chain_row(poset, index, dim, a, chain, b):
@@ -261,9 +265,25 @@ def lattice_points_of_hat_delta(poset, u, chart, k):
 
 def count_charts(poset, u, charts, k):
     """The number of those points for each of the charts, in order, counted
-    in one batch that shares its memo and its budget."""
+    top down in one batch that shares its memo and its budget."""
+    return _count_top_down(poset, (_dilated(poset, u, chart, k)
+                                   for chart in charts))
+
+
+def _count_top_down(poset, systems):
+    """geometry.count_lattice_points_batch of the (poly, box) systems, each
+    with its row coefficients and box permuted alike, which keeps every
+    count, into the reverse of the full mu plan (sorted by height): the
+    search fixes the highest elements first, and the deep subproblems, near
+    the bottom of the poset, are shared across far more charts (2,283 nodes
+    for the 512 C3 charts at k = 1, 20,376 in axis order)."""
+    plan = _plans(poset, frozenset(poset.axis))[1]
+    order = [i for i, _, _ in reversed(plan)]
     return geometry.count_lattice_points_batch(
-        [_dilated(poset, u, chart, k) for chart in charts])
+        [(geometry.HPolyhedron.integral(
+            poly.dim, [(tuple([a[i] for i in order]), b)
+                       for a, b in poly.rows]),
+          [box[i] for i in order]) for poly, box in systems])
 
 
 def _triangular(plan):
@@ -317,7 +337,7 @@ def verify_transfer_bijection(poset, u, k):
     the coordinates in C and z elsewhere, so the chart-C image is a pick of
     d of the 2d stored columns of (z, mu(poset, full, z)).  The points of
     every chart, chart 0 included, are counted at k in one batch that
-    shares its memo (``geometry.count_lattice_points_batch``), not listed.
+    shares its memo, searched top down (``_count_top_down``), not listed.
 
     Why the check holds: when the full mu plan is triangular, mu_C is
     injective on Z^d (see the transfer-maps comment), so the count_0 points
@@ -344,9 +364,8 @@ def verify_transfer_bijection(poset, u, k):
     polys = [hat_delta(poset, u, chart) for chart in charts]
     _certify(_plans(poset, full)[1], polys[0].rows)
     level = min(k, 1)
-    counts = geometry.count_lattice_points_batch(
-        [(poly.dilate(k), _box(poset, u, chart, k))
-         for chart, poly in zip(charts, polys)])
+    counts = _count_top_down(poset, ((poly.dilate(k), _box(poset, u, chart, k))
+                                     for chart, poly in zip(charts, polys)))
     base = geometry.lattice_points(polys[0].dilate(level),
                                    _box(poset, u, frozenset(), level))
     n = len(base)

@@ -159,6 +159,12 @@ class Diagnostics:
     errors: list
     graded: GradedStructure | None
 
+    @property
+    def message(self):
+        """The errors as one line: CODE (message); CODE (message) ..."""
+        return "; ".join(f"{code} ({message})"
+                         for code, message in self.errors)
+
 
 def validate(poset):
     """Check all marked-poset invariants plus gradedness."""
@@ -206,7 +212,7 @@ def graded_structure(poset):
     if poset._graded is None:
         diag = validate(poset)
         if diag.graded is None:
-            raise NotGraded(str(diag.errors))
+            raise NotGraded(diag.message)
         poset._graded = diag.graded
     return poset._graded
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyptych import families, geometry, lattice, mco
-from polyptych.posets import MarkedPoset, choose_u, gt_type_A, gt_type_C
+from polyptych.posets import (MarkedPoset, ShiftVector, choose_u, gt_type_A,
+                              gt_type_C)
 
 from test_lattice import random_dag
 
@@ -88,15 +89,18 @@ def test_dropped_point_fails_with_the_distinct_image_count(fam_A2,
                                                            monkeypatch):
     # a count that misses one point: the image no longer matches, and its
     # count is that of the distinct image points, not the chart's count
+    # (the batch holds the charts in charts_of order, each system's axes
+    # permuted, so the spoiled chart is picked by its position)
     p = fam_A2.poset
     u = choose_u(p)
     spoiled = frozenset(p.axis[1:])
-    spoiled_rows = mco.hat_delta(p, u, spoiled).rows
+    at = mco.charts_of(p).index(spoiled)
     counted = geometry.count_lattice_points_batch
 
     def short(systems):
-        return [count - 1 if poly.rows == spoiled_rows else count
-                for (poly, _), count in zip(systems, counted(systems))]
+        counts = counted(systems)
+        counts[at] -= 1
+        return counts
 
     monkeypatch.setattr(geometry, "count_lattice_points_batch", short)
     rep = mco.verify_transfer_bijection(p, u, 1)
@@ -409,3 +413,74 @@ def test_mu_roundtrip(vec, chart_bits):
 def test_chart_str_sorted():
     assert mco.chart_str(frozenset()) == ""
     assert mco.chart_str(frozenset({"q21", "q11"})) == "q11,q21"
+
+
+# ---------------------------------------------------------------------------
+# the top-down search order against the lister and the axis-order batch
+
+def _axis_order_counts(poset, u, charts, k):
+    return geometry.count_lattice_points_batch(
+        [mco._dilated(poset, u, chart, k) for chart in charts])
+
+
+def _assert_counts_agree(poset, u, ks):
+    charts = mco.charts_of(poset)
+    for k in ks:
+        listed = [len(mco.lattice_points_of_hat_delta(poset, u, chart, k))
+                  for chart in charts]
+        assert _axis_order_counts(poset, u, charts, k) == listed
+        assert mco.count_charts(poset, u, charts, k) == listed
+        report = mco.verify_transfer_bijection(poset, u, k)
+        assert [e["count"] for e in report["charts"].values()] == listed
+
+
+@pytest.mark.parametrize("name, ks", [("A2", (0, 1, 2)), ("C2", (0, 1, 2)),
+                                      ("A3", (1, 2))])
+def test_top_down_counts_equal_the_lister_and_the_axis_order(name, ks):
+    p = _poset(name)
+    _assert_counts_agree(p, choose_u(p), ks)
+
+
+def test_top_down_counts_equal_the_lister_on_random_dags():
+    # most of these posets are not graded, so the shift vector is drawn
+    # (every box holds its polytope whatever the shift); the markings are
+    # cut to 0..3 to keep the lister small
+    rng = random.Random(28)
+    for trial in range(50):
+        dag = random_dag(rng, 2 + trial % 5)
+        marking = {a: v // 3 for a, v in dag.marking.items()}
+        poset = MarkedPoset(dag.elements, dag.covers, marking)
+        u = ShiftVector({e: marking.get(e, rng.randint(0, 3))
+                         for e in poset.elements}, False)
+        _assert_counts_agree(poset, u, (1, 2))
+
+
+def test_a_box_permuted_without_its_rows_changes_a_count():
+    # negative control: the permutation must reach rows and box alike (on
+    # A2 the reversed order maps every chart system onto itself; C2's
+    # charts show it)
+    p = _poset("C2")
+    u = choose_u(p)
+    order = [i for i, _, _ in reversed(mco._plans(p, frozenset(p.axis))[1])]
+    charts = mco.charts_of(p)
+    systems = [mco._dilated(p, u, chart, 1) for chart in charts]
+    box_only = [(poly, [box[i] for i in order]) for poly, box in systems]
+    rows_only = [(geometry.HPolyhedron.integral(
+        poly.dim, [(tuple(a[i] for i in order), b) for a, b in poly.rows]),
+        box) for poly, box in systems]
+    counts = mco.count_charts(p, u, charts, 1)
+    for half in (box_only, rows_only):
+        assert geometry.count_lattice_points_batch(half) != counts
+
+
+def test_every_c3_chart_is_counted_within_a_small_budget(monkeypatch):
+    # top down, the 512 C3 charts at k = 1 charge 2,283 nodes; in axis
+    # order they charge 20,376, over this budget
+    p = gt_type_C(3, (2, 4, 6))
+    u = choose_u(p)
+    charts = mco.charts_of(p)
+    listed = len(mco.lattice_points_of_hat_delta(p, u, frozenset(), 1))
+    monkeypatch.setattr(geometry, "ENUM_BUDGET", 5000)
+    assert mco.count_charts(p, u, charts, 1) == [listed] * len(charts)
+    with pytest.raises(geometry.BoxTooLarge):
+        _axis_order_counts(p, u, charts, 1)
