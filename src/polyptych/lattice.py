@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from operator import add, mul
+from operator import add
 
 from . import geometry, mco
 from .posets import graded_structure
@@ -270,44 +269,22 @@ def _cone_generators(fam, signs):
 def _linear_extension(rows, target):
     """Value at ``target`` of the linear functional fixed by the given
     (vector, value) pairs; raises DualFail on inconsistent values or when
-    ``target`` lies outside the span of the vectors.  The vectors are
-    eliminated once (``_eliminated``); each call forms only the value of
-    each echelon row and reduces the target."""
-    vectors, values = zip(*rows)
-    echelon, nulls = _eliminated(vectors)
-    if any(sum(map(mul, combo, values)) for combo in nulls):
+    ``target`` lies outside the span of the vectors."""
+    echelon, pivots, _ = geometry.row_echelon(
+        [[*vec, val] for vec, val in rows])
+    n = len(target)
+    if pivots and pivots[-1] == n:
         raise DualFail("inconsistent generator values")
-    t, value, scale = list(target), 0, 1
-    for col, row, combo in echelon:
+    t, scale = [*target, 0], 1
+    for row, col in zip(echelon, pivots):
         f = t[col]
         if f:
             piv = row[col]
             t = [piv * a - f * b for a, b in zip(t, row)]
-            value = piv * value - f * sum(map(mul, combo, values))
             scale *= piv
-    if any(t):
+    if any(t[:n]):
         raise DualFail("evaluation outside the generator span")
-    return Fraction(-value, scale)
-
-
-@cache
-def _eliminated(vectors):
-    """The fraction-free echelon of the vectors, each extended by its row
-    of the identity, kept per tuple of vectors (eval_v's depend only on the
-    dual's sign vector): (echelon, nulls).  ``echelon`` holds (pivot
-    column, row, combination) for the rows with a pivot among the vectors'
-    columns, and ``nulls`` the combination of each remaining row, whose
-    vector part is zero.  A combination holds the coefficients of the input
-    rows that make up the echelon row, so its dot product with the values
-    is the echelon row's value."""
-    n, m = len(vectors[0]), len(vectors)
-    echelon, pivots, _ = geometry.row_echelon(
-        [[*vec, *(int(i == j) for j in range(m))]
-         for i, vec in enumerate(vectors)])
-    rows = [(col, tuple(row[:n]), tuple(row[n:]))
-            for row, col in zip(echelon, pivots)]
-    return ([r for r in rows if r[0] < n],
-            [combo for col, _, combo in rows if col >= n])
+    return Fraction(-t[n], scale)
 
 
 def eval_v(fam, x, dual):
