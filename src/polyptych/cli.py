@@ -6,8 +6,8 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 usage error,
 ``{"tool", "version", "command", "error": {"limit", "message"}}``, where
 ``limit`` is ``"dim_cap"`` (the double-description dimension cap),
 ``"enum_budget"`` (the lattice-point enumeration budget) or ``"memory"``,
-whose message names the command line, as in
-``"out of memory in hilbert --family gtC --n 3"``.
+whose message names the command line: ``polyptych hilbert --poset p.json``
+reads ``"out of memory in hilbert --poset p.json"``.
 """
 
 from __future__ import annotations

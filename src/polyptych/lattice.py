@@ -343,10 +343,10 @@ def verify_strict_dual(fam, rng, pairs=500, chart_samples=50):
     Checks, exactly on samples: pairing symmetry (the two evaluation routes
     agree) and the chart-to-dual-cone correspondence (duals inside a chart's
     cone induce points additive on that chart; each chart also exhibits an
-    outside dual failing additivity).  Injectivity of the element-to-point
+    outside dual failing additivity, unless its cone holds every dual, as
+    when no position is interior).  Injectivity of the element-to-point
     assignment is certified: the INNER values of x are mu(full, x) (see
-    eval_v), which is injective when the full mu plan is triangular (see
-    the transfer maps in mco).
+    eval_v), which is injective when the full mu plan is triangular.
     """
     poset, d = fam.poset, len(fam.axis)
     injective = mco._triangular(mco._plans(poset, frozenset(fam.axis))[1])
@@ -382,7 +382,7 @@ def verify_strict_dual(fam, rng, pairs=500, chart_samples=50):
             else:
                 outside_seen += 1
                 outside_fail += not adds
-        if outside_fail == 0:
+        if outside_fail == 0 and signs:
             # targeted search: some dual outside the cone must break
             # additivity on this chart
             for _ in range(200):
@@ -395,7 +395,7 @@ def verify_strict_dual(fam, rng, pairs=500, chart_samples=50):
                     break
         entry = {"inside": inside, "outside": outside_seen,
                  "outside_failures": outside_fail}
-        entry["ok"] = outside_fail > 0
+        entry["ok"] = outside_fail > 0 or not signs
         report["charts"][mco.chart_str(chart)] = entry
         report["ok"] = report["ok"] and entry["ok"]
     return report

@@ -296,18 +296,31 @@ def _triangular(plan):
     return True
 
 
-def _certify(plan, rows):
-    """Raise geometry.UnimodularityFail naming the first clause of the
-    transfer certificate that a full mu plan and chart 0's rows fail."""
-    for clause, holds in [
-            ("the mu plan is not triangular", _triangular(plan)),
-            ("a mu plan constant is neither None nor 0",
-             all(m in (None, 0) for _, _, m in plan)),
-            ("a chart-0 row is not +-e_i or e_i - e_j",
-             all(sorted(c for c in a if c) in ([], [-1], [1], [-1, 1])
-                 for a, _ in rows))]:
+def _refuse(certificate, clauses):
+    """Raise geometry.UnimodularityFail naming the first failing clause of
+    a certificate, given as (clause, holds) pairs."""
+    for clause, holds in clauses:
         if not holds:
-            raise geometry.UnimodularityFail(f"transfer certificate: {clause}")
+            raise geometry.UnimodularityFail(
+                f"{certificate} certificate: {clause}")
+
+
+def _row_clause(rows):
+    """The clause that the transfer and generation certificates share."""
+    return ("a chart-0 row is not +-e_i or e_i - e_j with an integer "
+            "right-hand side",
+            all(type(b) is int and sorted(c for c in a if c)
+                in ([], [-1], [1], [-1, 1]) for a, b in rows))
+
+
+def _certify(plan, rows):
+    """Refuse a full mu plan and chart 0's rows failing the transfer
+    certificate."""
+    _refuse("transfer", [
+        ("the mu plan is not triangular", _triangular(plan)),
+        ("a mu plan constant is neither None nor 0",
+         all(m in (None, 0) for _, _, m in plan)),
+        _row_clause(rows)])
 
 
 def _least(columns, form, size):

@@ -145,6 +145,17 @@ def test_dualcheck_stdout_is_pinned(runner, family, digest):
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family", ["gtA", "gtC"])
+def test_dualcheck_passes_with_no_interior_position(runner, family):
+    """At n = 1 the one dual cone holds every dual, so no chart needs an
+    outside dual that breaks additivity."""
+    code, out = run_json(runner, ["dualcheck", "--family", family,
+                                  "--n", "1"])
+    assert code == 0 and out["report"]["ok"]
+    assert all(e["ok"] and e["outside"] == 0
+               for e in out["report"]["charts"].values())
+
+
 def test_nobody_small(runner):
     code, out = run_json(runner, ["nobody", "--family", "gtA", "--n", "2",
                                   "--lambda", "0,2,4", "--chart", "q21",

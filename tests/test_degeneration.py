@@ -1,10 +1,48 @@
 from collections import Counter, defaultdict
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from polyptych import algebra, degeneration, geometry, lattice, mco
-from polyptych.posets import choose_u, gt_type_C
+from polyptych import algebra, degeneration, families, geometry, lattice, mco
+from polyptych.posets import ShiftVector, choose_u, gt_type_C
+
+
+# ---------------------------------------------------------------------------
+# the per-target generation check, the oracle of _certify_generation
+
+@dataclass(frozen=True)
+class GradedPiece:
+    degree: int
+    basis: tuple  # standard monomial keys, sorted
+    points: tuple  # the chart-0 point of each basis monomial, in basis order
+
+    @property
+    def dimension(self):
+        return len(self.basis)
+
+
+def gamma(poset, u, k):
+    """Degree-k graded piece: the standard monomials whose lattice element
+    lies in the k-dilated centered polytope.  Membership is decided in
+    chart 0, where the adapted-basis bijection identifies standard
+    monomials with integer vectors; the piece keeps each monomial's point,
+    so that no caller maps the monomial back."""
+    points = mco.lattice_points_of_hat_delta(poset, u, frozenset(), k)
+    basis = [algebra.m_to_monomial(poset, z) for z in points]
+    order = sorted(range(len(basis)), key=basis.__getitem__)
+    return GradedPiece(k, tuple(map(basis.__getitem__, order)),
+                       tuple(map(points.__getitem__, order)))
+
+
+def _generation_gap(poset, tails, u, pieces, k):
+    """Degree-k basis monomials missing from the normal form of the product
+    of their floor decomposition's degree-1 monomials (expected empty)."""
+    deg1 = dict(zip(pieces[1].points, pieces[1].basis))
+    shift = u.vector(poset)
+    return [b for b, z in zip(pieces[k].basis, pieces[k].points)
+            if not degeneration._reachable(tails, deg1, shift, b, z, k)]
 
 
 def test_hilbert_vs_ehrhart_a2(fam_A2):
@@ -24,7 +62,7 @@ def test_hilbert_vs_ehrhart_c2(fam_C2):
 
 def test_graded_piece_monomials_standard(fam_C2):
     u = choose_u(fam_C2.poset)
-    piece = degeneration.gamma(fam_C2.poset, u, 1)
+    piece = gamma(fam_C2.poset, u, 1)
     assert piece.dimension == 81
     assert all(min(a, b) == 0 for m in piece.basis for _, a, b in m)
 
@@ -34,8 +72,8 @@ def test_semigroup_property_degree_one(fam_A2):
     poset = fam_A2.poset
     u = choose_u(poset)
     tails = algebra.build_relations(poset)
-    basis = degeneration.gamma(poset, u, 1).basis
-    target = set(degeneration.gamma(poset, u, 2).basis)
+    basis = gamma(poset, u, 1).basis
+    target = set(gamma(poset, u, 2).basis)
     for b1 in basis:
         for b2 in basis:
             assert set(algebra.multiply({b1: 1}, {b2: 1}, tails)) <= target
@@ -85,15 +123,15 @@ def test_chart_valuation_additive(fam_C2, rng):
 
 
 def test_hilbert_vs_ehrhart_enumerates_each_chart_once(fam_A2, monkeypatch):
-    # gamma lists chart 0 for its basis; every other chart is only counted
+    # nothing is listed; every chart, chart 0 included, is counted once per k
     poset = fam_A2.poset
     u = choose_u(poset)
     listed, counted = Counter(), Counter()
-    enumerate_ = mco.lattice_points_of_hat_delta
+    enumerate_ = geometry.lattice_points
     count_ = mco.count_charts
-    monkeypatch.setattr(mco, "lattice_points_of_hat_delta",
-                        lambda p, u, chart, k: listed.update([(chart, k)])
-                        or enumerate_(p, u, chart, k))
+    monkeypatch.setattr(geometry, "lattice_points",
+                        lambda poly, box: listed.update([poly.dim])
+                        or enumerate_(poly, box))
     monkeypatch.setattr(mco, "count_charts",
                         lambda p, u, charts, k: counted.update(
                             (chart, k) for chart in charts)
@@ -101,9 +139,9 @@ def test_hilbert_vs_ehrhart_enumerates_each_chart_once(fam_A2, monkeypatch):
     rep = degeneration.hilbert_vs_ehrhart(poset, u, 2)
     assert rep["ok"]
     charts = mco.charts_of(poset)
-    assert set(listed) == {(frozenset(), k) for k in range(3)}
-    assert set(counted) == {(c, k) for c in charts[1:] for k in range(3)}
-    assert set(listed.values()) == set(counted.values()) == {1}
+    assert not listed
+    assert set(counted) == {(c, k) for c in charts for k in range(3)}
+    assert set(counted.values()) == {1}
 
 
 def test_small_family_hilbert():
@@ -117,7 +155,7 @@ def test_small_family_hilbert():
 def _deg1(fam):
     """Degree-1 points of a family keyed to their basis monomials, and u."""
     u = choose_u(fam.poset)
-    piece = degeneration.gamma(fam.poset, u, 1)
+    piece = gamma(fam.poset, u, 1)
     return {algebra.monomial_to_m(fam.poset, b): b for b in piece.basis}, u
 
 
@@ -171,11 +209,11 @@ def test_generation_gap_reports_dropped_vertex(fam_A2, deg1_A2):
     two_v = tuple(2 * c for c in v)
     assert _brute_decompositions(points, 2)[two_v] == [(v, v)]
     kept = sorted((b, z) for z, b in deg1.items() if z != v)
-    pieces = {1: degeneration.GradedPiece(
-                  1, tuple(b for b, _ in kept), tuple(z for _, z in kept)),
-              2: degeneration.gamma(poset, u, 2)}
+    pieces = {1: GradedPiece(1, tuple(b for b, _ in kept),
+                             tuple(z for _, z in kept)),
+              2: gamma(poset, u, 2)}
     tails = algebra.build_relations(poset)
-    gap = degeneration._generation_gap(poset, tails, u, pieces, 2)
+    gap = _generation_gap(poset, tails, u, pieces, 2)
     assert algebra.m_to_monomial(poset, two_v) in gap
     for b in gap:   # only monomials that need v go missing
         z = algebra.monomial_to_m(poset, b)
@@ -189,11 +227,11 @@ def test_generation_gap_needs_the_product_to_reach_the_target(
     monomial is a gap, though each still has its decomposition."""
     poset = fam_A2.poset
     _, u = deg1_A2
-    pieces = {k: degeneration.gamma(poset, u, k) for k in (1, 2)}
+    pieces = {k: gamma(poset, u, k) for k in (1, 2)}
     tails = algebra.build_relations(poset)
-    assert degeneration._generation_gap(poset, tails, u, pieces, 2) == []
+    assert _generation_gap(poset, tails, u, pieces, 2) == []
     monkeypatch.setattr(algebra, "multiply", lambda f, g, tails: {})
-    gap = degeneration._generation_gap(poset, tails, u, pieces, 2)
+    gap = _generation_gap(poset, tails, u, pieces, 2)
     assert gap == list(pieces[2].basis)
 
 
@@ -204,7 +242,7 @@ def test_generation_makes_k_minus_1_products_per_target(
     so a degree-k target costs k - 1 calls of multiply."""
     poset = fam_A2.poset
     _, u = deg1_A2
-    pieces = {j: degeneration.gamma(poset, u, j) for j in (1, k)}
+    pieces = {j: gamma(poset, u, j) for j in (1, k)}
     tails = algebra.build_relations(poset)
     calls = Counter()
     multiply = algebra.multiply
@@ -214,7 +252,7 @@ def test_generation_makes_k_minus_1_products_per_target(
         return multiply(f, g, tails)
 
     monkeypatch.setattr(algebra, "multiply", counting)
-    assert degeneration._generation_gap(poset, tails, u, pieces, k) == []
+    assert _generation_gap(poset, tails, u, pieces, k) == []
     assert calls["multiply"] == (k - 1) * pieces[k].dimension
 
 
@@ -226,3 +264,54 @@ def test_generation_gap_empty_at_degree_three(request, name):
     assert rep["ok"]
     assert [g["k"] for g in rep["generation"]] == [2, 3]
     assert all(not g["gap"] for g in rep["generation"])
+
+
+@pytest.mark.parametrize("family, n, lam, kmax", [
+    ("A", 2, (0, 2, 4), 3), ("C", 2, (2, 4), 3), ("A", 3, (0, 2, 4, 6), 3)])
+def test_generation_certificate_agrees_with_the_per_target_check(
+        family, n, lam, kmax):
+    """The per-target check finds no gap at any k <= kmax, where the report,
+    which lists nothing, has empty generation entries and the listed
+    pieces' dimensions."""
+    poset = families.GTFamily(family, n, lam).poset
+    u = choose_u(poset)
+    rep = degeneration.hilbert_vs_ehrhart(poset, u, kmax)
+    tails = algebra.build_relations(poset)
+    pieces = {1: gamma(poset, u, 1)}
+    assert rep["generation"] == [{"k": k, "gap": []}
+                                 for k in range(2, kmax + 1)]
+    for k in range(2, kmax + 1):
+        pieces[k] = gamma(poset, u, k)
+        assert _generation_gap(poset, tails, u, pieces, k) == []
+        assert rep["rows"][k]["dimension"] == pieces.pop(k).dimension
+    assert rep["ok"]
+
+
+def test_generation_certificate_refuses_a_chain_row(fam_A2, monkeypatch):
+    """A chain chart's row, with two -1 coefficients, added to chart 0."""
+    poset = fam_A2.poset
+    build = mco.build_mco
+    row = next((a, b) for chart in mco.charts_of(poset)
+               for a, b in build(poset, chart).rows
+               if sorted(c for c in a if c) == [-1, -1])
+
+    def with_row(p, chart):
+        poly = build(p, chart)
+        if chart:
+            return poly
+        return geometry.HPolyhedron.integral(poly.dim, poly.rows + [row])
+
+    monkeypatch.setattr(mco, "build_mco", with_row)
+    with pytest.raises(geometry.UnimodularityFail,
+                       match="generation certificate: a chart-0 row"):
+        degeneration.hilbert_vs_ehrhart(poset, choose_u(poset), 2)
+
+
+def test_generation_certificate_refuses_a_fractional_shift(fam_A2):
+    poset = fam_A2.poset
+    u = choose_u(poset)
+    p = poset.axis[0]
+    half = ShiftVector({**u.u, p: u.u[p] + Fraction(1, 2)}, u.strict)
+    with pytest.raises(geometry.UnimodularityFail,
+                       match="generation certificate: an entry of u"):
+        degeneration.hilbert_vs_ehrhart(poset, half, 2)

@@ -116,8 +116,8 @@ def test_invalid_cycle_detected():
 
 
 def test_derived_structure_is_computed_once(monkeypatch):
-    """choose_u, hilbert_vs_ehrhart, gamma and no_body_sample share one
-    graded structure on a fresh family: validate runs once in all."""
+    """choose_u, hilbert_vs_ehrhart and no_body_sample share one graded
+    structure on a fresh family: validate runs once in all."""
     seen = []
 
     def counting(poset):
@@ -128,7 +128,6 @@ def test_derived_structure_is_computed_once(monkeypatch):
     fam = GTFamily("A", 2, (0, 2, 4))
     u = choose_u(fam.poset)
     assert degeneration.hilbert_vs_ehrhart(fam.poset, u, 1)["ok"]
-    degeneration.gamma(fam.poset, u, 1)
     spec = degeneration.default_chart_valuation_spec(fam, frozenset())
     assert degeneration.no_body_sample(fam, u, spec, 1)["ok"]
     assert seen == [fam.poset]

@@ -12,7 +12,7 @@ from math import prod
 
 import pytest
 
-from polyptych import acceptance, families, mco
+from polyptych import acceptance, degeneration, families, mco
 from polyptych.posets import choose_u
 
 
@@ -99,3 +99,14 @@ def test_every_c3_chart_count_is_weyl_dimension():
     counts = mco.count_charts(poset, choose_u(poset), mco.charts_of(poset), 2)
     assert len(counts) == 512
     assert set(counts) == {weyl_dimension("C", (2, 4, 6), 2)}
+
+
+@pytest.mark.parametrize("family, n, lam, kmax", [
+    ("A", 3, (0, 2, 4, 6), 3), ("C", 3, (2, 4, 6), 2)])
+def test_hilbert_dimensions_are_weyl_dimensions(family, n, lam, kmax):
+    # the graded dimensions are chart 0's counts, taken from the counter
+    poset = families.GTFamily(family, n, lam).poset
+    rep = degeneration.hilbert_vs_ehrhart(poset, choose_u(poset), kmax)
+    assert rep["ok"]
+    assert [r["dimension"] for r in rep["rows"]] == [
+        weyl_dimension(family, lam, k) for k in range(kmax + 1)]
