@@ -306,7 +306,8 @@ def _refuse(certificate, clauses):
 
 
 def _row_clause(rows):
-    """The clause that the transfer and generation certificates share."""
+    """The (clause, holds) pair that the transfer and generation
+    certificates share."""
     return ("a chart-0 row is not +-e_i or e_i - e_j with an integer "
             "right-hand side",
             all(type(b) is int and sorted(c for c in a if c)
