@@ -1,7 +1,7 @@
 """Polyptych lattice of a marked poset: charts glued by the linearized
-transfer maps, chart-wise addition, structural points, checks of the point
-and mutation axioms, and (for the triangular families) the dual lattice
-with its strict pairing.
+transfer maps, chart-wise addition, structural points, a check of the point
+axioms, and (for the triangular families) the dual lattice with its strict
+pairing.
 
 An element is stored by its coordinate in the all-order chart (chart 0);
 coordinates in other charts are computed on demand by ``mco.mu``.
@@ -158,29 +158,6 @@ def verify_point_axioms(lattice, functionals, pairs):
 def verify_point_axiom(lattice, phi, pairs):
     """verify_point_axioms for the one functional phi."""
     return verify_point_axioms(lattice, [phi], pairs)
-
-
-def verify_mutation_axioms(lattice, vectors, chart_pairs):
-    """Definition axioms on samples: identity, inverse, cocycle; exact."""
-    checked = 0
-    for c1, c2 in chart_pairs:
-        for v in vectors:
-            if lattice.mutate(c1, c1, v) != tuple(v):
-                raise AxiomFail(f"identity fails on chart {sorted(c1)}")
-            w = lattice.mutate(c1, c2, v)
-            if lattice.mutate(c2, c1, w) != tuple(v):
-                raise AxiomFail(
-                    f"inverse fails {sorted(c1)}->{sorted(c2)} at {v}")
-            checked += 1
-    charts = [c for pair in chart_pairs for c in pair]
-    for i in range(len(charts) - 2):
-        c1, c2, c3 = charts[i], charts[i + 1], charts[i + 2]
-        for v in vectors[:20]:
-            w = lattice.mutate(c2, c3, lattice.mutate(c1, c2, v))
-            if w != lattice.mutate(c1, c3, v):
-                raise AxiomFail("cocycle fails")
-            checked += 1
-    return {"checked": checked, "ok": True}
 
 
 # ---------------------------------------------------------------------------

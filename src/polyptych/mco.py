@@ -104,7 +104,20 @@ def _chain_row(poset, index, dim, a, chain, b):
 # it.  So is every chart's plan, a restriction of it, and mu_C is injective
 # on Z^d: given y = mu_C(x), walking the plan in order recovers x_p as
 # y_p - m_p(x) from the x_q already recovered (x_q = y_q for q not in C),
-# which is what mu_inverse does.
+# which is what mu_inverse does.  For any y, the x so built has
+# x_p + m_p(x) = y_p, so mu_C(mu_inverse(y)) = y as well: mu_C is a
+# bijection of Z^d (and Q^d) with inverse mu_inverse.  Every mutation
+# mu_C2 o mu_C1^{-1} then satisfies the identity, inverse and cocycle
+# axioms, which is how acceptance criterion 3 certifies them.
+#
+# mu is the transfer map linearized at a shift vector u: for every chart C
+# and every a in Q^d, mu(C, a) = transfer(C, a + u) - transfer(C, u) exactly
+# when every min of the full transfer plan ties at u, that is, when at each
+# entry the candidates -u_q and m all equal one value c (linear_at).  If
+# they do, min(c - a_q, ..., c) - c = min(-a_q, ..., 0), mu's entry.  If a
+# candidate -u_q' exceeds the min at u, a large a_q' makes the two sides
+# differ at p by -u_q' - c; if m does, a large -a_q on every unmarked cover
+# makes them differ by m - c.
 #
 # Choosing which candidate attains each min of the full mu plan cuts R^d
 # into cells, closed cones with rows -x_q <= -x_q' or -x_q <= 0 (a marked
@@ -152,6 +165,21 @@ def _compile(poset, chart):
                   for _, i, lower, marked in entries),
             tuple((i, lower, 0 if marked else None)
                   for _, i, lower, marked in entries))
+
+
+def linear_at(poset, u):
+    """Whether mu(poset, C, a) = transfer(poset, C, a + u) - transfer(poset,
+    C, u) for every chart C and every rational a: exactly when every min of
+    the full transfer plan ties at the shift vector u (see the
+    transfer-maps comment)."""
+    x = u.vector(poset)
+    for _, lower, m in _plans(poset, frozenset(poset.axis))[0]:
+        candidates = {-x[j] for j in lower}
+        if m is not None:
+            candidates.add(m)
+        if len(candidates) > 1:
+            return False
+    return True
 
 
 # _forward and _inverse inline the min loop that _cover_max also holds.

@@ -6,18 +6,25 @@ import hashlib
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product
+from operator import add, sub
 
 import pytest
 
-from polyptych import acceptance, algebra, cli, families, semialgebra
+from polyptych import (acceptance, algebra, cli, families, lattice, mco,
+                       semialgebra)
+from polyptych.posets import ShiftVector, choose_u, gt_type_A, gt_type_C
+
+from test_lattice import verify_mutation_axioms
+from test_mco import _later_axis_plans
 
 # sha256 of `polyptych acceptance --profile quick|full --seed 0`; a change
 # that moves one must update it and say why.
 QUICK_FINGERPRINT = (
-    "eb2bc6096af48d02ed4a867118768e8c272e29113dadccaa51539d40fd8b429c")
+    "b4c7bba5e9d16bb4ceffe22c434319ff7581e5cf7ecda86fdde0bca34417e5cb")
 FULL_FINGERPRINT = (
-    "4ace3422eedeb24c55dab1b2bc97ad14125c259ae54b254fb61c954fb20053e4")
+    "5b8a1bd31a6e0efee94dc89e474ec686928fb66f6859c4909a385f788e68cdb4")
 
 
 @pytest.fixture(scope="session")
@@ -170,9 +177,9 @@ def _with_index_sets(monkeypatch, sets):
     monkeypatch.setattr(algebra, "_adapted_basis", patched)
 
 
-def _run_criterion_8():
-    return acceptance.criterion_8(random.Random(0),
-                                  acceptance.PROFILES["quick"])
+def _run_criterion(number):
+    return acceptance.CRITERIA[number - 1](random.Random(0),
+                                           acceptance.PROFILES["quick"])
 
 
 def test_basis_certificate_equals_the_sweep(poset):
@@ -193,7 +200,7 @@ def test_singular_basis_is_not_injective(poset, monkeypatch):
     _, injective, hits = _sweep(poset)
     assert acceptance._basis_certificate(poset) == (injective, hits) == (
         False, False)
-    assert not _run_criterion_8()["injective"]
+    assert not _run_criterion(8)["injective"]
 
 
 def test_non_unimodular_basis_misses_the_radius_2_box(poset, monkeypatch):
@@ -236,7 +243,7 @@ def test_off_by_one_inverse_fails_criterion_8(monkeypatch):
                                 algebra.x_var(poset.axis[0]))
 
     monkeypatch.setattr(algebra, "m_to_monomial", off_by_one)
-    report = _run_criterion_8()
+    report = _run_criterion(8)
     assert report["injective"] and not report["hits_radius2"]
     assert not report["pass"]
 
@@ -250,7 +257,7 @@ def test_criterion_8_maps_each_unit_vector_once(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(algebra, name, counting)
-    assert _run_criterion_8()["pass"]
+    assert _run_criterion(8)["pass"]
     d = len(acceptance._fam_C2().poset.axis)
     assert 0 < calls["monomial_to_m"] <= d
     assert 0 < calls["m_to_monomial"] <= d
@@ -274,3 +281,104 @@ def test_criterion_5_fails_on_a_functional_that_is_not_a_point(monkeypatch):
     for entry in honest["details"].values():
         entry["functionals"] += 1
     assert report["details"] == honest["details"]
+
+
+# ---------------------------------------------------------------------------
+# criteria 3 and 4: the chart-map certificates against sampled oracles
+
+def _axiom_samples(lat, rng):
+    """50 random chart pairs of lat and 5 rational vectors, with
+    denominators up to 4."""
+    charts = lat.charts()
+    pairs = [(rng.choice(charts), rng.choice(charts)) for _ in range(50)]
+    vectors = [tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                     for _ in lat.axis) for _ in range(5)]
+    return vectors, pairs
+
+
+def test_criterion_3_agrees_with_the_sampled_axioms():
+    report = _run_criterion(3)
+    assert report["triangular"] == dict.fromkeys(("A1", "A2", "C1", "C2"),
+                                                 True)
+    assert report["pass"] is True
+    rng = random.Random(0)
+    for poset in (gt_type_A(1, (0, 2)), acceptance._fam_A2().poset,
+                  gt_type_C(1, (2,)), acceptance._fam_C2().poset):
+        lat = lattice.PolyptychLattice(poset)
+        assert verify_mutation_axioms(lat, *_axiom_samples(lat, rng))["ok"]
+
+
+def test_non_triangular_plan_fails_criterion_3_and_the_oracle(monkeypatch):
+    # A2's spoiled full mu plan maps (x, x, 0) to 0 for every x <= 0
+    acceptance._fam_A2.cache_clear()  # a fresh poset: its plan memo spoils
+    try:
+        poset = acceptance._fam_A2().poset
+        _later_axis_plans(monkeypatch, poset)
+        report = _run_criterion(3)
+        assert report["triangular"]["A2"] is False
+        assert report["pass"] is False
+        lat = lattice.PolyptychLattice(poset)
+        with pytest.raises(lattice.AxiomFail):
+            verify_mutation_axioms(lat, *_axiom_samples(lat,
+                                                        random.Random(0)))
+    finally:
+        acceptance._fam_A2.cache_clear()
+
+
+def _compatibility_mismatches(poset, u, rng, draws=100):
+    """The oracle of criterion 4: over draws points a of [-6, 6]^d per
+    chart C, the number with mu_C(a) != phi_C(a + u) - phi_C(u)."""
+    uvec = u.vector(poset)
+    bad = 0
+    for chart in mco.charts_of(poset):
+        shift = mco.transfer(poset, chart, uvec)
+        for _ in range(draws):
+            a = tuple(rng.randint(-6, 6) for _ in uvec)
+            image = mco.transfer(poset, chart, tuple(map(add, a, uvec)))
+            bad += mco.mu(poset, chart, a) != tuple(map(sub, image, shift))
+    return bad
+
+
+@pytest.mark.parametrize("spec", [
+    ("A", 2, (0, 2, 4)), ("C", 2, (2, 4)), ("A", 3, (0, 2, 4, 6)),
+    ("C", 3, (2, 4, 6))], ids=["A2", "C2", "A3", "C3"])
+def test_tie_certificate_agrees_with_the_sampled_compatibility(spec):
+    poset = families.GTFamily(*spec).poset
+    u = choose_u(poset)
+    assert mco.linear_at(poset, u)
+    assert _compatibility_mismatches(poset, u, random.Random(0)) == 0
+
+
+# C2's shift vector with one value moved (choose_u gives q11 = 1, q21 = 2),
+# and the number of the oracle's 1,600 draws at seed 0 that then mismatch
+UNTIED = {
+    # q21's lower covers q11 and q12 give the candidates 0 and -1
+    "q11": (0, 379),
+    # q31's cover q21 gives -1, its marked cover qs1 the constant m = -2
+    "q21": (1, 350)}
+
+
+def _untied_u(poset, name):
+    u = choose_u(poset)
+    return ShiftVector(dict(u.u, **{name: UNTIED[name][0]}), u.strict)
+
+
+@pytest.mark.parametrize("name", sorted(UNTIED))
+def test_untied_u_fails_the_tie_certificate_and_the_oracle(name):
+    poset = families.GTFamily("C", 2, (2, 4)).poset
+    assert [choose_u(poset).u[p] for p in ("q11", "q21")] == [1, 2]
+    u = _untied_u(poset, name)
+    assert not mco.linear_at(poset, u)
+    assert (_compatibility_mismatches(poset, u, random.Random(0))
+            == UNTIED[name][1])
+
+
+def test_untied_u_fails_criterion_4(monkeypatch):
+    assert _run_criterion(4)["linear_at_u"] == {"A": True, "C": True}
+    poset_C2 = acceptance._fam_C2().poset
+    untied = _untied_u(poset_C2, "q11")
+    monkeypatch.setattr(acceptance, "choose_u", lambda poset: untied
+                        if poset is poset_C2 else choose_u(poset))
+    report = _run_criterion(4)
+    assert report["linear_at_u"] == {"A": True, "C": False}
+    assert report["pass"] is False

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 from functools import cache
 from operator import add
 
+import click
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyptych import families, geometry, lattice, mco
+from polyptych import cli, families, geometry, lattice, mco
 from polyptych.posets import (MarkedPoset, ShiftVector, choose_u, gt_type_A,
                               gt_type_C)
 
@@ -255,7 +257,7 @@ def _later_axis_plans(monkeypatch, p):
 
     def cyclic(poset, chart):
         transfer_plan, mu_plan = plans(poset, chart)
-        if chart == full:
+        if poset is p and chart == full:
             (i, _, _), *rest = mu_plan
             mu_plan = ((i, (rest[0][0],), None), *rest)
         return transfer_plan, mu_plan
@@ -314,6 +316,37 @@ def test_the_transfer_certificate_holds_on_random_dags(size):
         poset = random_dag(rng, size)
         mco._certify(mco._plans(poset, frozenset(poset.axis))[1],
                      mco.build_mco(poset, frozenset()).rows)
+
+
+@pytest.mark.parametrize("poset", [
+    gt_type_A(2, (0, 2, 4)), gt_type_A(3, (0, 2, 4, 6)),
+    gt_type_A(4, (0, 2, 4, 6, 8)), gt_type_C(2, (2, 4)),
+    gt_type_C(3, (2, 4, 6)), gt_type_C(4, (2, 4, 6, 8))],
+    ids=["A2", "A3", "A4", "C2", "C3", "C4"])
+def test_the_tie_certificate_holds_at_the_chosen_u_on_the_families(poset):
+    assert mco.linear_at(poset, cli._shift(poset))
+
+
+def test_the_tie_certificate_holds_at_the_chosen_u_on_random_dags():
+    # choose_u is constant on each rank, and a graded poset's covers join
+    # adjacent ranks, so every candidate of an entry reads one value; every
+    # draw is kept, and the CLI refuses a non-graded one
+    found = Counter()
+    for size in range(2, 7):
+        rng = random.Random(size)
+        for _ in range(40):
+            poset = random_dag(rng, size)
+            try:
+                u = cli._shift(poset)
+            except click.UsageError as exc:
+                assert "NOT_GRADED" in str(exc)
+                found["not graded", size] += 1
+                continue
+            found["strict" if u.strict else "non-strict", size] += 1
+            assert mco.linear_at(poset, u)
+    assert sum(found.values()) == 200
+    assert [found[kind, size] for kind in ("strict", "non-strict")
+            for size in range(2, 7)] == [27, 24, 10, 9, 1, 13, 13, 13, 5, 5]
 
 
 def test_full_mu_plans_are_triangular():
