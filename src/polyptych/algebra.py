@@ -1,8 +1,9 @@
 """Quotient algebra attached to a classified marked poset: one relation
 X_p Y_p = 1 + tail per unmarked element, a standard-monomial normal form,
-the induced valuation into the semialgebra, and the exact Jacobian rank
-at variety points.  The relation tails and the adapted basis are built
-once per poset and kept on it.
+the induced valuation into the semialgebra, the certificate that the
+Jacobian has full rank on the torus part of the variety, and the exact
+Jacobian rank at given variety points.  The relation tails and the adapted
+basis are built once per poset and kept on it.
 
 Monomials are sparse maps p -> (a_p, b_p) of nonnegative X/Y exponents,
 canonically keyed by sorted element name; elements are sparse maps from
@@ -12,7 +13,6 @@ monomial keys to nonzero coefficients, ints unless an input is rational.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
 from . import geometry, lattice, semialgebra
 from .posets import classify_spade, graded_structure
@@ -241,17 +241,6 @@ def verify_valuation(fam, rng, samples=100, mode="EXACT"):
 # ---------------------------------------------------------------------------
 # variety points and the Jacobian
 
-def solve_variety_point(poset, tails, xvals):
-    """Given nonzero X values, the unique Y values on the variety,
-    solved from the top rank downwards."""
-    graded = graded_structure(poset)
-    order = sorted(poset.axis, key=lambda p: -graded.rank[p])
-    y = {}
-    for p in order:
-        y[p] = (1 + _tail_value(tails, xvals, y, p)) / xvals[p]
-    return y
-
-
 def jacobian_matrix(poset, tails, xvals, yvals):
     """Rows g_p, columns X then Y in axis order, evaluated exactly."""
     axis = poset.axis
@@ -276,27 +265,29 @@ def evaluate_relations(poset, tails, xvals, yvals):
             for p in poset.axis]
 
 
-def jacobian_rank_at_samples(poset, rng, count=50, extra_points=()):
-    """Exact Jacobian rank at seeded variety points (plus supplied ones)."""
+def torus_triangular(poset):
+    """Whether every relation tail reads a Y variable of strictly higher
+    rank than p.  Then the Jacobian's Y block, with rows and columns in rank
+    order, is triangular with diagonal X_p, so the Jacobian has full rank
+    at every variety point whose X_p are all nonzero: the torus part of the
+    variety is smooth."""
+    rank = graded_structure(poset).rank
+    return all(tail is None or rank[tail[-1]] > rank[p]
+               for p, tail in build_relations(poset).items())
+
+
+def jacobian_rank_at(poset, points):
+    """The full rank n of the exact Jacobian at each given variety point
+    (X values, Y values); raises RankFail at a point off the variety or
+    with a rank drop."""
     tails = build_relations(poset)
     n = len(poset.axis)
-    report = {"points": 0, "rank": n, "ok": True}
-
-    def sampled():
-        for _ in range(count):
-            xvals = {p: Fraction(lattice.randints(rng, 1, 9, 1)[0]
-                                 * rng.choice([-1, 1]),
-                                 lattice.randints(rng, 1, 4, 1)[0])
-                     for p in poset.axis}
-            yield xvals, solve_variety_point(poset, tails, xvals)
-
-    for xvals, yvals in chain(sampled(), extra_points):
-        if any(v != 0 for v in evaluate_relations(poset, tails, xvals, yvals)):
+    for xvals, yvals in points:
+        if any(evaluate_relations(poset, tails, xvals, yvals)):
             raise RankFail(f"point {xvals}, {yvals} not on the variety")
         if geometry.rank(jacobian_matrix(poset, tails, xvals, yvals)) != n:
             raise RankFail(f"rank drop at {xvals}, {yvals}")
-        report["points"] += 1
-    return report
+    return n
 
 
 def degenerate_point_gt(fam):

@@ -128,7 +128,10 @@ LIMITS = {DimCapExceeded: "dim_cap", BoxTooLarge: "enum_budget",
 
 class _Main(click.Group):
     """Reports an exceeded resource limit as exit 3, not as a traceback.
-    A MemoryError carries no message, so the command line stands in."""
+    A MemoryError carries no message, so the command line stands in.  The
+    report is emitted after the except block, once the exception and the
+    failed command's frames, which may hold the memory that ran out, are
+    released."""
 
     def parse_args(self, ctx, args):
         ctx.meta["argv"] = shlex.join(args)
@@ -138,12 +141,12 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except tuple(LIMITS) as exc:
+            limit = LIMITS[type(exc)]
             message = str(exc)
             if isinstance(exc, MemoryError):
                 message = "out of memory in " + ctx.meta["argv"]
-            _emit({"command": ctx.invoked_subcommand,
-                   "error": {"limit": LIMITS[type(exc)],
-                             "message": message}}, code=3)
+        _emit({"command": ctx.invoked_subcommand,
+               "error": {"limit": limit, "message": message}}, code=3)
 
 
 def _source_options(body):

@@ -2,7 +2,9 @@
 index metadata.
 
 Unmarked elements are named ``q{i}{j}`` by (row, column); marked elements are
-``qs{k}`` plus, in type C, the bottom zeros ``z{j}``.  Grid conventions:
+``qs{k}`` plus, in type C, the bottom zeros ``z{j}``.  Two-digit indices would
+make names collide ((1, 11) and (11, 1) are both ``q111``), so n is at most
+MAX_N = 10.  Grid conventions:
 
 * type C: q_{i,j} exists for 1 <= j <= n, 1 <= i <= 2n+1-2j; marked qs_k sits
   at grid position (2k, n-k+1) with value lam_k; z_j < q_{1,j} at the bottom.
@@ -17,11 +19,16 @@ from __future__ import annotations
 
 from .posets import MarkedPoset
 
+MAX_N = 10
+
 
 class GTFamily:
     def __init__(self, family, n, lam):
         if family not in ("A", "C"):
             raise ValueError(f"unknown family {family!r}")
+        if n > MAX_N:
+            raise ValueError(f"n = {n} exceeds the limit n <= {MAX_N}: "
+                             f"position names q{{i}}{{j}} would collide")
         lam = tuple(int(v) for v in lam)
         expect = n + 1 if family == "A" else n
         if len(lam) != expect:
@@ -32,7 +39,6 @@ class GTFamily:
             raise ValueError("type C marking values must be >= 0")
         self.family = family
         self.n = n
-        self.lam = lam
         self.positions = {}   # (i, j) -> unmarked name
         for j in range(1, n + 1):
             i_lo = 1 if family == "C" else n + 1 - j

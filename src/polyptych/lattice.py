@@ -171,10 +171,9 @@ class DualElement:
     positions and y'_{i,j} = y_{i,j} elsewhere.  ``gaps`` holds the
     arguments -y'_{i+1,j} + y_{i+1,j-1} of those mins in ``pihat`` order."""
 
-    __slots__ = ("fam", "y", "yp", "gaps", "rows")
+    __slots__ = ("y", "yp", "gaps", "rows")
 
     def __init__(self, fam, y):
-        self.fam = fam
         self.y = y = tuple(y)
         yp = list(y)
         gaps = []

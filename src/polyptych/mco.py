@@ -150,10 +150,7 @@ def _compile(poset, chart):
     order = posets._topological(poset)
     if order is None:
         raise PosetError("cover relation contains a cycle")
-    height = {}
-    for e in order:
-        height[e] = max((height[q] + 1 for q in poset.lower_covers(e)),
-                        default=0)
+    height = posets._heights(poset, order)
     entries = []
     for i, p in enumerate(axis):
         lower = poset.lower_covers(p)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 
 class PosetError(Exception):
@@ -189,9 +190,7 @@ def validate(poset):
                 errors.append(
                     ("NOT_MONOTONE", f"marking decreases along {a} < {b}"))
     graded = None
-    rank = {}
-    for e in order:
-        rank[e] = max((rank[q] + 1 for q in poset.lower_covers(e)), default=0)
+    rank = _heights(poset, order)
     bad = [c for c in poset.covers if rank[c[1]] != rank[c[0]] + 1]
     top_ranks = {rank[e] for e in maximal}
     if bad:
@@ -218,21 +217,30 @@ def graded_structure(poset):
 
 
 def _topological(poset):
+    """The elements in the topological order that always takes the least
+    available one, or None on a cycle."""
     indeg = {e: len(poset.lower_covers(e)) for e in poset.elements}
-    queue = sorted(e for e in poset.elements if indeg[e] == 0)
+    heap = [e for e in poset.elements if indeg[e] == 0]
+    heapify(heap)
     out = []
-    while queue:
-        e = queue.pop(0)
+    while heap:
+        e = heappop(heap)
         out.append(e)
-        changed = False
         for p in poset.upper_covers(e):
             indeg[p] -= 1
             if indeg[p] == 0:
-                queue.append(p)
-                changed = True
-        if changed:
-            queue.sort()
+                heappush(heap, p)
     return out if len(out) == len(poset.elements) else None
+
+
+def _heights(poset, order):
+    """Each element's longest-chain rank from below (0 on the minimal
+    elements), over a topological order."""
+    height = {}
+    for e in order:
+        height[e] = max((height[q] + 1 for q in poset.lower_covers(e)),
+                        default=0)
+    return height
 
 
 def _reachability(poset, order):
@@ -253,7 +261,6 @@ class BreveLevel:
     level: int
     lower: tuple
     upper: tuple        # kept upper elements
-    removed: tuple      # removed upper elements
     edges: tuple        # covers (q, p) with q in lower, p in upper
 
 
@@ -262,15 +269,10 @@ def breve_level(poset, i):
     graded = graded_structure(poset)
     lower = graded.levels.get(i, ())
     upper_all = graded.levels.get(i + 1, ())
-    kept, removed = [], []
-    for p in upper_all:
-        legs = [q for q in poset.lower_covers(p) if q in lower]
-        if poset.is_marked(p) or len(legs) <= 1:
-            removed.append(p)
-        else:
-            kept.append(p)
+    kept = [p for p in upper_all if not poset.is_marked(p) and sum(
+        q in lower for q in poset.lower_covers(p)) > 1]
     edges = tuple((q, p) for p in kept for q in poset.lower_covers(p) if q in lower)
-    return BreveLevel(i, tuple(lower), tuple(kept), tuple(removed), edges)
+    return BreveLevel(i, tuple(lower), tuple(kept), edges)
 
 
 ZIGZAG_UNMARKED = "ZIGZAG_UNMARKED"

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyptych import algebra, cox, lattice, semialgebra
-from polyptych.posets import gt_type_C
+from polyptych import acceptance, algebra, cox, lattice, semialgebra
+from polyptych.posets import (basic_pi1, basic_pi2, chain_poset,
+                              graded_structure, gt_type_A, gt_type_C)
 
 
 def tails_of(fam):
@@ -129,20 +131,102 @@ def test_unit_report(fam_C2):
     assert len(units) == cox.cox_counts(fam_C2.poset).U
 
 
+# ---------------------------------------------------------------------------
+# criterion 13: the torus certificate against sampled variety points
+
+def solve_variety_point(poset, tails, xvals):
+    """Given nonzero X values, the unique Y values on the variety,
+    solved from the top rank downwards."""
+    rank = graded_structure(poset).rank
+    y = {}
+    for p in sorted(poset.axis, key=lambda p: -rank[p]):
+        y[p] = (1 + algebra._tail_value(tails, xvals, y, p)) / xvals[p]
+    return y
+
+
+def torus_points(poset, rng, count):
+    """The oracle's points: count variety points whose X values are seeded
+    nonzero rationals, with numerators up to 9 and denominators up to 4."""
+    tails = algebra.build_relations(poset)
+    points = []
+    for _ in range(count):
+        xvals = {p: Fraction(rng.randint(1, 9) * rng.choice([-1, 1]),
+                             rng.randint(1, 4)) for p in poset.axis}
+        points.append((xvals, solve_variety_point(poset, tails, xvals)))
+    return points
+
+
 def test_jacobian_rank(fam_C2, rng):
-    extra = [algebra.degenerate_point_gt(fam_C2)]
-    rep = algebra.jacobian_rank_at_samples(fam_C2.poset, rng, count=8,
-                                           extra_points=extra)
-    assert rep["ok"]
+    points = torus_points(fam_C2.poset, rng, 8)
+    points.append(algebra.degenerate_point_gt(fam_C2))
+    assert algebra.jacobian_rank_at(fam_C2.poset, points) == 4
 
 
 def test_jacobian_rank_rejects_a_supplied_point_off_the_variety(fam_C2, rng):
     xv, yv = algebra.degenerate_point_gt(fam_C2)
     yv = dict(yv, q21=Fraction(1))
+    points = torus_points(fam_C2.poset, rng, 2) + [(xv, yv)]
     with pytest.raises(algebra.RankFail, match="not on the variety") as exc:
-        algebra.jacobian_rank_at_samples(fam_C2.poset, rng, count=2,
-                                         extra_points=[(xv, yv)])
+        algebra.jacobian_rank_at(fam_C2.poset, points)
     assert str(xv) in str(exc.value)
+
+
+TORUS_POSETS = {
+    **{f"A{n}": gt_type_A(n, tuple(range(0, 2 * n + 1, 2)))
+       for n in range(1, 7)},
+    **{f"C{n}": gt_type_C(n, tuple(range(2, 2 * n + 1, 2)))
+       for n in range(1, 7)},
+    "pi1(1)": basic_pi1(1), "pi1(3)": basic_pi1(3),
+    "pi2(2,2)": basic_pi2(2, 2), "pi2(3,1)": basic_pi2(3, 1),
+    "chain(3,0,4)": chain_poset(3, 0, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(TORUS_POSETS))
+def test_torus_certificate_holds(name):
+    assert algebra.torus_triangular(TORUS_POSETS[name])
+
+
+@pytest.mark.parametrize("name", ["A2", "C2", "A3", "C3"])
+def test_oracle_finds_full_rank_on_the_torus(name):
+    poset = TORUS_POSETS[name]
+    points = torus_points(poset, random.Random(0), 20)
+    assert algebra.jacobian_rank_at(poset, points) == len(poset.axis)
+
+
+def test_same_rank_tail_fails_the_certificate_and_criterion_13(
+        fam_C2, monkeypatch):
+    """q11's tail pointed at Y_q11 itself: the Y block is no longer
+    triangular in rank order."""
+    build = algebra.build_relations
+    monkeypatch.setattr(algebra, "build_relations", lambda poset: dict(
+        build(poset), q11=("Y", "q11")))
+    assert algebra.torus_triangular(fam_C2.poset) is False
+    report = acceptance.criterion_13(random.Random(0),
+                                     acceptance.PROFILES["quick"])
+    assert report["torus_triangular"] is False
+    assert report["pass"] is False
+
+
+def test_zeroed_x_block_is_refused_only_at_the_stratum_point(
+        fam_C2, rng, monkeypatch):
+    """With the Jacobian's X block zeroed, the Y block still has full rank
+    wherever every X_p is nonzero: the certificate and 50 torus points
+    pass.  Only the stratum point, where X_q21 = Y_q21 = 0, sees the rank
+    drop; this is why criterion 13 keeps that point, and it refuses the
+    zeroed block there."""
+    matrix = algebra.jacobian_matrix
+    n = len(fam_C2.axis)
+    monkeypatch.setattr(algebra, "jacobian_matrix", lambda *args: [
+        [0] * n + row[n:] for row in matrix(*args)])
+    assert algebra.torus_triangular(fam_C2.poset)
+    points = torus_points(fam_C2.poset, rng, 50)
+    assert algebra.jacobian_rank_at(fam_C2.poset, points) == n
+    with pytest.raises(algebra.RankFail, match="rank drop"):
+        algebra.jacobian_rank_at(fam_C2.poset,
+                                 [algebra.degenerate_point_gt(fam_C2)])
+    with pytest.raises(algebra.RankFail, match="rank drop"):
+        acceptance.criterion_13(random.Random(0),
+                                acceptance.PROFILES["quick"])
 
 
 def test_degenerate_point_solves_relations(fam_C2):

@@ -1,10 +1,11 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from polyptych import degeneration, geometry, mco
+from polyptych import cli, degeneration, geometry, mco
 from polyptych.cli import main
 from polyptych.geometry import BoxTooLarge
 from polyptych.posets import chain_poset
@@ -271,6 +272,35 @@ def test_memory_error_is_exit_3(runner, monkeypatch):
                    "command": "hilbert",
                    "error": {"limit": "memory", "message":
                              "out of memory in hilbert --family gtA --n 2"}}
+
+
+def test_memory_error_is_emitted_after_the_handler(runner, monkeypatch):
+    """The exit-3 report is printed once the MemoryError is dropped, so the
+    failed command's frames no longer hold what ran out."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    emit = cli._emit
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(sys.exc_info())
+        emit(*args, **kwargs)
+
+    monkeypatch.setattr(mco, "verify_transfer_bijection", out_of_memory)
+    monkeypatch.setattr(cli, "_emit", recording)
+    code, out = run_json(runner, ["transfer", "--family", "gtA", "--n", "2"])
+    assert code == 3 and out["error"]["limit"] == "memory"
+    assert seen == [(None, None, None)]
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "cox"])
+@pytest.mark.parametrize("family", ["gtA", "gtC"])
+def test_family_above_n_10_is_usage_error(runner, command, family):
+    """Position names q{i}{j} would collide at n = 11 ((1, 11) and (11, 1)
+    are both q111), so the builder refuses it and names the limit."""
+    result = runner.invoke(main, [command, "--family", family, "--n", "11"])
+    assert_usage_error(result, "n = 11 exceeds the limit n <= 10")
 
 
 def _poset_file(tmp_path, content):

@@ -7,7 +7,8 @@ tests/ to something other than its literal default, or KEPT names it (as
 not flag without it is stale and fails too. A check that only tests call
 belongs in tests/, as the body of the test that runs it, not in KEPT.
 Click calls the (decorated) commands and the methods of _Main, whose base
-is a library class."""
+is a library class. Every attribute a package class stores, and every
+dataclass field, is read somewhere in src/, perfbench/ or tests/."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -104,3 +105,35 @@ def test_every_default_parameter_is_passed_or_kept():
                                     else 99, ast.dump(d))]
     assert sorted(set(unused) - KEPT.keys()) == []
     assert sorted(k for k in KEPT if "." in k and k not in unused) == []
+
+
+def _stored(cls):
+    """The attributes a class stores: each ``self.name`` assigned in one
+    of its methods, and, for a dataclass, each annotated field."""
+    fields = set()
+    if any("dataclass" in ast.dump(d) for d in cls.decorator_list):
+        fields = {n.target.id for n in cls.body
+                  if isinstance(n, ast.AnnAssign)}
+    return fields | {
+        t.attr for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        for t in ast.walk(fn) if isinstance(t, ast.Attribute)
+        and isinstance(t.ctx, ast.Store) and isinstance(t.value, ast.Name)
+        and t.value.id == "self"}
+
+
+def test_every_stored_attribute_is_read():
+    """An attribute stored on a package object, or a dataclass field, is
+    read (as an attribute) by some file in src/, perfbench/ or tests/."""
+    package = sorted(ROOT.glob("src/polyptych/*.py"))
+    readers = package + sorted(ROOT.glob("perfbench/**/*.py")) + sorted(
+        ROOT.glob("tests/*.py"))
+    read = set()
+    for path in readers:
+        read |= {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.ctx, ast.Load)}
+    unread = [f"{cls.name}.{name}" for path in package
+              for cls in ast.parse(path.read_text()).body
+              if isinstance(cls, ast.ClassDef)
+              for name in sorted(_stored(cls) - read)]
+    assert unread == []

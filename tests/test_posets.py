@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -9,6 +10,8 @@ from polyptych.posets import (MarkedPoset, NoInteriorU, NotGraded,
                               basic_pi2, chain_poset, choose_u,
                               classify_spade, gt_type_A, gt_type_C,
                               graded_structure, validate)
+
+from test_lattice import random_dag
 
 
 def three_fan():
@@ -113,6 +116,33 @@ def test_graded_structure_ranks():
 def test_invalid_cycle_detected():
     p = MarkedPoset(["a", "b"], [("a", "b"), ("b", "a")], {})
     assert not validate(p).ok
+
+
+def _least_first(poset):
+    """The oracle of posets._topological: a topological order that keeps
+    the available elements sorted and takes the least."""
+    indeg = {e: len(poset.lower_covers(e)) for e in poset.elements}
+    queue = sorted(e for e in poset.elements if indeg[e] == 0)
+    out = []
+    while queue:
+        e = queue.pop(0)
+        out.append(e)
+        for p in poset.upper_covers(e):
+            indeg[p] -= 1
+            if indeg[p] == 0:
+                queue = sorted(queue + [p])
+    return out
+
+
+def test_topological_order_takes_the_least_available_element():
+    rng = random.Random(0)
+    dags = [random_dag(rng, size) for size in range(2, 9) for _ in range(20)]
+    for poset in dags + [gt_type_A(3, (0, 2, 4, 6)), gt_type_C(3, (2, 4, 6)),
+                         basic_pi2(3, 1)]:
+        order = posets._topological(poset)
+        assert order == _least_first(poset)
+        heights = posets._heights(poset, order)
+        assert all(heights[p] > heights[q] for q, p in poset.covers)
 
 
 def test_derived_structure_is_computed_once(monkeypatch):
