@@ -1,14 +1,15 @@
 """Exact integer linear algebra and small-dimension polyhedral computations.
 
 Polyhedra are integer data, as in Fukuda and Prodon's integer double
-description ("Double description method revisited", 1996): H-rows (a, b)
-are integers, a rational row being scaled by its least common denominator
-on entry, and the double description works on primitive integer vectors.
-Only the vertices ``h_to_v`` produces are ``Fraction``s; no floating point.
-The double description conversion is a textbook incremental algorithm with
-the combinatorial adjacency test, adequate for the dimensions handled here
-(at most ``DIM_CAP``).  Determinants, ranks and the dual linear extension
-all run through one fraction-free row echelon, ``row_echelon``.
+description ("Double description method revisited", 1996): an H-polyhedron
+keeps the rows (a, b) it is given, with no rescale, and the package gives
+it integer rows; the double description works on primitive integer
+vectors.  No floating point is used.  ``v_to_h`` is the double description
+conversion, a textbook incremental algorithm with the combinatorial
+adjacency test, adequate for the dimensions handled here (at most
+``DIM_CAP``); ``polyhedron_equal`` compares two V-polyhedra through it.
+Determinants, ranks and the dual linear extension all run through one
+fraction-free row echelon, ``row_echelon``.
 
 Lattice points are listed by ``lattice_points`` and counted by
 ``count_lattice_points_batch``, the same search with each subtree's count
@@ -30,7 +31,6 @@ The two resource limits are module constants, read where they are enforced:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 DIM_CAP = 9
@@ -72,16 +72,11 @@ def vscale(c, a):
     return tuple(c * x for x in a)
 
 
-def _integral(v):
-    """An integer/rational vector times the least common denominator of its
-    entries: the smallest positive multiple of it that is integral."""
-    den = lcm(*(x.denominator for x in v))
-    return [x.numerator * (den // x.denominator) for x in v]
-
-
 def primitive(v):
-    """Scale an integer/rational vector to a primitive integer vector."""
-    ints = _integral(v)
+    """Scale an integer/rational vector to a primitive integer vector: its
+    least common denominator times it, divided by the gcd of the entries."""
+    den = lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints) or 1
     return tuple(x // g for x in ints)
 
@@ -90,49 +85,26 @@ def primitive(v):
 # polyhedra
 
 class HPolyhedron:
-    """Finite system of inequalities a.x >= b with integer a and b; ``add``
-    scales a row with rational entries by its least common denominator."""
+    """Finite system of inequalities a.x >= b: the list of (tuple, number)
+    rows it is given, kept as they stand."""
 
     __slots__ = ("dim", "rows")
 
     def __init__(self, dim, rows=()):
         self.dim = dim
-        self.rows = []
-        for a, b in rows:
-            self.add(a, b)
-
-    @classmethod
-    def integral(cls, dim, rows):
-        """The polyhedron of a list of rows already integral, (tuple of
-        ints, int) each, taken as they stand rather than rescaled."""
-        out = cls(dim)
-        out.rows = rows
-        return out
-
-    def add(self, a, b):
-        if len(a) != self.dim:
-            raise GeometryError(f"row dimension {len(a)} != {self.dim}")
-        *a, b = _integral((*a, b))
-        self.rows.append((tuple(a), b))
+        self.rows = rows
 
     def contains(self, x):
         return all(dot(a, x) >= b for a, b in self.rows)
 
     def translate(self, t):
         """The polyhedron shifted by +t: {x : a.(x - t) >= b}."""
-        return self._moved([(a, b + dot(a, t)) for a, b in self.rows], t)
+        return HPolyhedron(self.dim,
+                           [(a, b + dot(a, t)) for a, b in self.rows])
 
     def dilate(self, k):
         """k-fold dilation about the origin (right-hand sides scaled by k)."""
-        return self._moved([(a, k * b) for a, b in self.rows], (k,))
-
-    def _moved(self, rows, by):
-        """A polyhedron of this dimension with ``rows``, made from this one's
-        by the scalars ``by``: integral as they stand when every scalar is
-        an int, and rescaled row by row by ``add`` otherwise."""
-        if not all(type(x) is int for x in by):
-            return HPolyhedron(self.dim, rows)
-        return HPolyhedron.integral(self.dim, rows)
+        return HPolyhedron(self.dim, [(a, k * b) for a, b in self.rows])
 
     def to_json(self):
         return {"ineqs": [[*a, str(b)] for a, b in self.rows]}
@@ -142,7 +114,8 @@ class HPolyhedron:
 
 
 class VPolyhedron:
-    """conv(vertices) + cone(rays) + span(lineality); empty iff no vertices."""
+    """conv(vertices) + cone(rays) + span(lineality), with a vertex: the
+    package builds one from a nonempty generating set."""
 
     __slots__ = ("dim", "vertices", "rays", "lineality")
 
@@ -151,10 +124,6 @@ class VPolyhedron:
         self.vertices = list(vertices)
         self.rays = list(rays)
         self.lineality = list(lineality)
-
-    @property
-    def is_empty(self):
-        return not self.vertices
 
     def __repr__(self):
         return (f"VPolyhedron(dim={self.dim}, V={len(self.vertices)}, "
@@ -445,28 +414,8 @@ def _adjacent(common, rp, rm, rays):
     return True
 
 
-def h_to_v(poly):
-    """Convert an H-polyhedron to V-form via homogenization."""
-    dim = poly.dim
-    halfspaces = [(*a, -b) for a, b in poly.rows]
-    halfspaces.append(tuple([0] * dim + [1]))  # t >= 0
-    lin, rays = cone_rays(halfspaces, dim + 1, dim_cap=DIM_CAP + 1)
-    vertices, rec_rays = [], []
-    for r in rays:
-        if r[dim] > 0:
-            vertices.append(tuple(Fraction(x, r[dim]) for x in r[:dim]))
-        else:
-            rec_rays.append(r[:dim])
-    lineality = [l[:dim] for l in lin]
-    return VPolyhedron(dim, vertices, rec_rays, lineality)
-
-
 def v_to_h(vpoly):
     """Convert a V-polyhedron to H-form (dual double description)."""
-    if vpoly.is_empty:
-        # canonical infeasible system
-        zero = tuple([0] * vpoly.dim)
-        return HPolyhedron(vpoly.dim, [(zero, 1)])
     dim = vpoly.dim
     gens = []
     for v in vpoly.vertices:
@@ -488,18 +437,9 @@ def v_to_h(vpoly):
 
 
 def polyhedron_equal(P, Q):
-    """Exact point-set equality of two polyhedra (H- or V-form).  The
-    H-form of P is built only when P lies in Q."""
-    def vform(X):
-        return X if isinstance(X, VPolyhedron) else h_to_v(X)
-
-    def hform(X):
-        return X if isinstance(X, HPolyhedron) else v_to_h(X)
-
-    vp, vq = vform(P), vform(Q)
-    if vp.is_empty or vq.is_empty:
-        return vp.is_empty and vq.is_empty
-    return _included(vp, hform(Q)) and _included(vq, hform(P))
+    """Exact point-set equality of two V-polyhedra.  The H-form of P is
+    built only when P lies in Q."""
+    return _included(P, v_to_h(Q)) and _included(Q, v_to_h(P))
 
 
 def _included(v, h):

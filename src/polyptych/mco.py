@@ -65,7 +65,7 @@ def build_mco(poset, chart):
                 else:
                     rows.append(_chain_row(poset, index, dim, a, chain, b))
     # markings are integers, so the rows are integral as they stand
-    return geometry.HPolyhedron.integral(dim, rows)
+    return geometry.HPolyhedron(dim, rows)
 
 
 def _chain_row(poset, index, dim, a, chain, b):
@@ -305,9 +305,8 @@ def _count_top_down(poset, systems):
     plan = _plans(poset, frozenset(poset.axis))[1]
     order = [i for i, _, _ in reversed(plan)]
     return geometry.count_lattice_points_batch(
-        [(geometry.HPolyhedron.integral(
-            poly.dim, [(tuple([a[i] for i in order]), b)
-                       for a, b in poly.rows]),
+        [(geometry.HPolyhedron(poly.dim, [(tuple([a[i] for i in order]), b)
+                                          for a, b in poly.rows]),
           [box[i] for i in order]) for poly, box in systems])
 
 

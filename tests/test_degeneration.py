@@ -299,7 +299,7 @@ def test_generation_certificate_refuses_a_chain_row(fam_A2, monkeypatch):
         poly = build(p, chart)
         if chart:
             return poly
-        return geometry.HPolyhedron.integral(poly.dim, poly.rows + [row])
+        return geometry.HPolyhedron(poly.dim, poly.rows + [row])
 
     monkeypatch.setattr(mco, "build_mco", with_row)
     with pytest.raises(geometry.UnimodularityFail,

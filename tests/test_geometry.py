@@ -11,12 +11,26 @@ from test_semialgebra import minkowski_sum_hull
 
 
 def square(side):
-    h = geometry.HPolyhedron(2)
-    h.add((1, 0), 0)
-    h.add((-1, 0), -side)
-    h.add((0, 1), 0)
-    h.add((0, -1), -side)
-    return h
+    return geometry.HPolyhedron(
+        2, [((1, 0), 0), ((-1, 0), -side), ((0, 1), 0), ((0, -1), -side)])
+
+
+def h_to_v(poly):
+    """The round-trip oracle of ``geometry.v_to_h``: an H-polyhedron in
+    V-form, through the double description of its homogenization."""
+    dim = poly.dim
+    halfspaces = [(*a, -b) for a, b in poly.rows]
+    halfspaces.append(tuple([0] * dim + [1]))  # t >= 0
+    lin, rays = geometry.cone_rays(halfspaces, dim + 1,
+                                   dim_cap=geometry.DIM_CAP + 1)
+    vertices, rec_rays = [], []
+    for r in rays:
+        if r[dim] > 0:
+            vertices.append(tuple(Fraction(x, r[dim]) for x in r[:dim]))
+        else:
+            rec_rays.append(r[:dim])
+    lineality = [l[:dim] for l in lin]
+    return geometry.VPolyhedron(dim, vertices, rec_rays, lineality)
 
 
 def test_det_known_values():
@@ -98,8 +112,9 @@ def test_translate_preserves_membership():
     (Fraction(3, 2), (Fraction(1, 2), -1)),
     (Fraction(4), (2, Fraction(-3)))])
 def test_moved_rows_equal_the_constructor_path(k, t):
-    """translate and dilate keep int rows as they are and send any other
-    scalar through add; the rows are those that the constructor makes."""
+    """translate and dilate move each right-hand side and keep the rows as
+    the constructor does, with no rescale, so int rows moved by ints stay
+    ints."""
     poly = geometry.HPolyhedron(2, [((1, 0), 0), ((0, Fraction(1, 2)), 1),
                                     ((-1, -1), Fraction(-7, 2))])
     moved = geometry.HPolyhedron(
@@ -107,16 +122,18 @@ def test_moved_rows_equal_the_constructor_path(k, t):
     dilated = geometry.HPolyhedron(2, [(a, k * b) for a, b in poly.rows])
     assert poly.translate(t).rows == moved.rows
     assert poly.dilate(k).rows == dilated.rows
-    for rows in (poly.translate(t).rows, poly.dilate(k).rows):
-        assert all(type(x) is int for a, b in rows for x in (*a, b))
+    if all(type(x) is int for x in (k, *t)):
+        box = square(2)
+        for rows in (box.translate(t).rows, box.dilate(k).rows):
+            assert all(type(x) is int for a, b in rows for x in (*a, b))
 
 
 def test_h_v_roundtrip_square():
     poly = square(1)
-    v = geometry.h_to_v(poly)
+    v = h_to_v(poly)
     assert sorted(v.vertices) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     back = geometry.v_to_h(v)
-    assert geometry.polyhedron_equal(poly, back)
+    assert geometry.polyhedron_equal(v, h_to_v(back))
 
 
 def _simplex(dim):
@@ -129,9 +146,9 @@ def test_h_to_v_dimension_cap():
     # the homogenized cone has one dimension more than the polyhedron, and
     # the cap applies to the polyhedron
     cap = geometry.DIM_CAP
-    assert len(geometry.h_to_v(_simplex(cap)).vertices) == cap + 1
+    assert len(h_to_v(_simplex(cap)).vertices) == cap + 1
     with pytest.raises(geometry.DimCapExceeded):
-        geometry.h_to_v(_simplex(cap + 1))
+        h_to_v(_simplex(cap + 1))
 
 
 def test_minkowski_sum_hull_segment():

@@ -13,6 +13,8 @@ from polyptych.families import GTFamily
 from polyptych.posets import (MarkedPoset, basic_pi1, basic_pi2, chain_poset,
                               choose_u)
 
+from test_geometry import h_to_v
+
 
 def lat_of(fam):
     return lattice.PolyptychLattice(fam.poset)
@@ -128,13 +130,13 @@ def _chart0_rows(poset, half_spaces):
 
 def _pl_mismatches(lat, u, half_spaces, samples=()):
     """The charts on which the half-spaces cut out another set than the
-    chart polytope: chart 0 is compared exactly as H-polyhedra, every other
+    chart polytope: chart 0 is compared exactly in V-form, every other
     chart pointwise on chart 0's lattice points and the samples."""
     poset = lat.poset
     charts = mco.charts_of(poset)
     bad = [] if geometry.polyhedron_equal(
-        _chart0_rows(poset, half_spaces),
-        mco.hat_delta(poset, u, charts[0])) else [""]
+        h_to_v(_chart0_rows(poset, half_spaces)),
+        h_to_v(mco.hat_delta(poset, u, charts[0]))) else [""]
     probes = [lat.element(z) for z in itertools.chain(
         mco.lattice_points_of_hat_delta(poset, u, charts[0], 1), samples)]
     for chart in charts[1:]:

@@ -29,7 +29,7 @@ def systems(draw):
     coeff = st.one_of(st.just(0), st.integers(-3, 3))
     rhs = st.fractions(min_value=-8, max_value=8, max_denominator=4)
     rows = draw(st.lists(
-        st.tuples(st.lists(coeff, min_size=dim, max_size=dim), rhs),
+        st.tuples(st.tuples(*[coeff] * dim), rhs),
         max_size=6))
     return geometry.HPolyhedron(dim, rows), box
 
@@ -71,10 +71,10 @@ def test_budget_counts_search_nodes(monkeypatch):
 
 
 def test_rational_coefficient_is_scaled_not_truncated():
-    # x/2 >= 1 is x >= 2; truncating the coefficient 1/2 to 0 would store
-    # the infeasible 0 >= 1
+    # x/2 >= 1 is x >= 2: the row is kept as given and the kernel divides
+    # by 1/2 exactly; truncating the coefficient to 0 would read the
+    # infeasible 0 >= 1
     poly = geometry.HPolyhedron(1, [((Fraction(1, 2),), 1)])
-    assert poly.rows == [((1,), 2)]
     assert geometry.lattice_points(poly, [(-3, 3)]) == [(2,), (3,)]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from functools import cache
@@ -5,12 +6,12 @@ from operator import add
 
 import click
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from polyptych import cli, families, geometry, lattice, mco
-from polyptych.posets import (MarkedPoset, ShiftVector, choose_u, gt_type_A,
-                              gt_type_C)
+from polyptych.posets import (MarkedPoset, PosetError, ShiftVector, choose_u,
+                              gt_type_A, gt_type_C)
 
 from test_lattice import random_dag
 
@@ -498,7 +499,7 @@ def test_a_box_permuted_without_its_rows_changes_a_count():
     charts = mco.charts_of(p)
     systems = [mco._dilated(p, u, chart, 1) for chart in charts]
     box_only = [(poly, [box[i] for i in order]) for poly, box in systems]
-    rows_only = [(geometry.HPolyhedron.integral(
+    rows_only = [(geometry.HPolyhedron(
         poly.dim, [(tuple(a[i] for i in order), b) for a, b in poly.rows]),
         box) for poly, box in systems]
     counts = mco.count_charts(p, u, charts, 1)
@@ -517,3 +518,133 @@ def test_every_c3_chart_is_counted_within_a_small_budget(monkeypatch):
     assert mco.count_charts(p, u, charts, 1) == [listed] * len(charts)
     with pytest.raises(geometry.BoxTooLarge):
         _axis_order_counts(p, u, charts, 1)
+
+
+# ---------------------------------------------------------------------------
+# chart counts on arbitrary marked posets, against the definition
+
+@st.composite
+def marked_posets(draw):
+    """A marked poset in 2-5 levels of 1-2 elements, each element covering
+    some of the level below.  When drawn so, one cover skips a level or an
+    element below the top level is left maximal, and the poset is not
+    graded.  Minimal and maximal elements are marked, some others too, and
+    at most 4 are left unmarked.  Markings are 0-3 and monotone: one drawn
+    value per level, or, when drawn so, per element, raised to the largest
+    value marked below it (then a level may not be constant).  Levels whose
+    markings rise by less than they span have no strict shift vector."""
+    levels = [[f"e{r}{i}" for i in range(draw(st.integers(1, 2)))]
+              for r in range(draw(st.integers(2, 5)))]
+    covers = {(q, p) for lower, upper in zip(levels, levels[1:])
+              for p in upper
+              for q in draw(st.sets(st.sampled_from(lower), min_size=1))}
+    graded = draw(st.booleans())
+    for lower, upper in zip(levels, levels[1:]):
+        for q in lower:
+            if graded and all(c != q for c, _ in covers):
+                covers.add((q, draw(st.sampled_from(upper))))
+
+    def below(p):
+        return set().union(*({q} | below(q) for q, c in covers if c == p))
+
+    if not graded and len(levels) > 2:
+        r = draw(st.integers(0, len(levels) - 3))
+        q = draw(st.sampled_from(levels[r]))
+        p = draw(st.sampled_from(levels[r + 2]))
+        if q not in below(p):  # a cover only if no chain implies it
+            covers.add((q, p))
+    elements = [e for level in levels for e in level]
+    extreme = {e for e in elements if all(p != e for _, p in covers)
+               or all(q != e for q, _ in covers)}
+    interior = [e for e in elements if e not in extreme]
+    marked = extreme | {e for e in interior if draw(st.booleans())}
+    marked |= set([e for e in interior if e not in marked][4:])
+    level_value = sorted(draw(st.integers(0, 3)) for _ in levels)
+    if draw(st.booleans()):
+        value = {e: level_value[r] for r, level in enumerate(levels)
+                 for e in level}
+    else:
+        value = {e: draw(st.integers(0, 3)) for e in elements}
+    marking = {e: max(value[m] for m in below(e) | {e} if m in marked)
+               for e in marked}
+    return MarkedPoset(elements, covers, marking)
+
+
+def _definition_rows(poset, chart, k):
+    """The rows of k times the chart polytope, from the definition: x_p >= 0
+    for p in the chart, and y_a + sum x_{p_i} <= y_b along each saturated
+    chain a < p_1 < ... < p_l < b with every p_i in the chart and a, b not
+    (l >= 0), where y is k times the marking on a marked element and x
+    otherwise.  A row is (coefficient per unmarked element, right-hand
+    side) for sum c_p x_p <= rhs."""
+    upper = {e: [] for e in poset.elements}
+    for q, p in poset.covers:
+        upper[q].append(p)
+    rows = [({p: -1}, 0) for p in sorted(chart)]
+    for a in poset.elements:
+        if a in chart:
+            continue
+        stack = [(a, [])]
+        while stack:
+            cur, chain = stack.pop()
+            for b in upper[cur]:
+                if b in chart:
+                    stack.append((b, chain + [b]))
+                    continue
+                coeffs, rhs = Counter(chain), 0
+                for e, sign in ((a, 1), (b, -1)):
+                    if e in poset.marking:
+                        rhs -= sign * k * poset.marking[e]
+                    else:
+                        coeffs[e] += sign
+                rows.append((coeffs, rhs))
+    return rows
+
+
+def _definition_count(poset, chart, k, drop_last=False):
+    """The integer points of k times the chart polytope, filtered from the
+    box [0, 3k]^d, which holds it when the markings are 0-3.  hat_delta's
+    shift is integral, so k times it moves no count."""
+    rows = _definition_rows(poset, chart, k)
+    if drop_last and len(rows) > len(chart):
+        rows.pop()
+    unmarked = [e for e in poset.elements if e not in poset.marking]
+    points = (dict(zip(unmarked, values)) for values in itertools.product(
+        range(3 * k + 1), repeat=len(unmarked)))
+    return sum(all(sum(c * x[e] for e, c in coeffs.items()) <= rhs
+                   for coeffs, rhs in rows) for x in points)
+
+
+def _cli_shift(poset):
+    """The shift vector the CLI takes, or None where it refuses the poset
+    (not graded, or choose_u raises)."""
+    try:
+        return cli._shift(poset)
+    except (click.UsageError, PosetError):
+        return None
+
+
+def _count_mismatch(poset, drop_last=False):
+    """Whether some chart count at k <= 2 differs between mco and the
+    definition; False on a poset the CLI refuses."""
+    u = _cli_shift(poset)
+    if u is None:
+        return False
+    charts = mco.charts_of(poset)
+    return any(mco.count_charts(poset, u, charts, k) != [
+        _definition_count(poset, chart, k, drop_last) for chart in charts]
+        for k in range(3))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(marked_posets())
+def test_chart_counts_match_the_definition_on_marked_posets(poset):
+    assert not _count_mismatch(poset), poset.to_json()
+
+
+def test_definition_without_a_chain_row_disagrees_on_some_poset():
+    # negative control: the last chain row of every chart dropped
+    poset = find(marked_posets(), lambda p: _count_mismatch(p, True),
+                 settings=settings(max_examples=60, derandomize=True,
+                                   deadline=None))
+    assert _count_mismatch(poset, True) and not _count_mismatch(poset)

@@ -1,6 +1,8 @@
 """Every definition in the package has a user in src/ or perfbench/ (a
 method or property of a package class only through an attribute, so that a
-local variable of the same name does not count), and
+local variable of the same name does not count); one whose only users are
+in perfbench/ is listed in PERFBENCH_ONLY with the file that uses it and
+the ROADMAP item that retires it, and a stale entry fails.  And
 every parameter with a default is set by some call in src/, perfbench/ or
 tests/ to something other than its literal default, or KEPT names it (as
 "function.param") with a reason to stay. A KEPT entry that the lint would
@@ -17,6 +19,12 @@ ROOT = Path(__file__).resolve().parents[1]
 KEPT = {
     "chain_poset": "builder listed in the README",
     "oplus": "the addition of the semialgebra"}
+# a definition only the benchmark uses: (the perfbench file, ROADMAP item)
+PERFBENCH_ONLY = {
+    "_reachable": ("perfbench/tracer.py", 18),
+    "PolyptychLattice.add_in_chart": ("perfbench/tracer.py", 18),
+    "verify_point_axiom": ("perfbench/workloads.py", 18),
+    "PolyptychLattice.charts": ("perfbench/workloads.py", 3)}
 
 
 def _names(node, kinds=(ast.Name, ast.Attribute)):
@@ -26,22 +34,37 @@ def _names(node, kinds=(ast.Name, ast.Attribute)):
 
 def test_every_definition_is_used_or_kept():
     package = sorted(ROOT.glob("src/polyptych/*.py"))
-    trees = [ast.parse(p.read_text())
-             for p in package + sorted(ROOT.glob("perfbench/**/*.py"))]
-    top = [n for tree in trees[:len(package)] for n in tree.body]
-    defs = [n for n in top if isinstance(n, ast.ClassDef) or isinstance(
+    bench = sorted(ROOT.glob("perfbench/**/*.py"))
+    trees = [ast.parse(p.read_text()) for p in package]
+    bench_trees = [ast.parse(p.read_text()) for p in bench]
+    top = [n for tree in trees for n in tree.body]
+    defs = [("", n) for n in top if isinstance(n, ast.ClassDef) or isinstance(
         n, ast.FunctionDef) and not n.decorator_list]
-    methods = [m for c in defs if isinstance(c, ast.ClassDef) and not any(
-        isinstance(b, ast.Attribute) for b in c.bases) for m in c.body
-        if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
-    unused = set()
+    methods = [(f"{c.name}.", m) for _, c in defs
+               if isinstance(c, ast.ClassDef) and not any(
+                   isinstance(b, ast.Attribute) for b in c.bases)
+               for m in c.body if isinstance(m, ast.FunctionDef)
+               and not m.name.startswith("__")]
+    unused, bench_only = set(), {}
     for group, kinds in [(defs, (ast.Name, ast.Attribute)),
                          (methods, ast.Attribute)]:
         used = sum((_names(t, kinds) for t in trees), Counter())
-        unused |= {d.name for d in group
-                   if used[d.name] == _names(d, kinds)[d.name]}
+        for owner, d in group:
+            if used[d.name] > _names(d, kinds)[d.name]:
+                continue
+            users = [str(path.relative_to(ROOT)) for path, t in
+                     zip(bench, bench_trees) if _names(t, kinds)[d.name]]
+            if users:
+                bench_only[owner + d.name] = users
+            else:
+                unused.add(d.name)
     assert sorted(unused - KEPT.keys()) == []
     assert sorted(k for k in KEPT if "." not in k and k not in unused) == []
+    assert bench_only == {name: [path] for name, (path, _)
+                          in PERFBENCH_ONLY.items()}
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    assert [name for name, (_, item) in PERFBENCH_ONLY.items()
+            if f"\n### {item}. " not in roadmap] == []
 
 
 def _calls(trees):

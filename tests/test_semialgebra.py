@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from polyptych import families, geometry, lattice, mco, semialgebra
+from polyptych import (acceptance, algebra, families, geometry, lattice,
+                       mco, semialgebra)
 
 
 def small_fam_lat(fam):
@@ -276,3 +277,46 @@ def test_fallback_computes_k_dual_once_per_cone(monkeypatch):
     for _ in range(3):
         assert semialgebra.equal_exact(fam, a, b)
     assert len([c for c in calls if c[1] == len(fam.axis)]) == 2
+
+
+def _no_double_description(monkeypatch):
+    """Make double description raise, and count the pairs equal_exact
+    decides: every pair counted was settled by steps 1-3."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair reached double description")
+    monkeypatch.setattr(geometry, "cone_rays", refuse)
+    monkeypatch.setattr(geometry, "polyhedron_equal", refuse)
+    return _counted(monkeypatch, semialgebra, "equal_exact")
+
+
+@pytest.mark.parametrize("family, n, lam", [("A", 2, (0, 2, 4)),
+                                            ("C", 2, (2, 4))])
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_valuation_pairs_need_no_double_description(
+        monkeypatch, family, n, lam, seed):
+    """The valuation check of ``valcheck`` and of the valuation-c2
+    workload, 20 exact samples: its pairs are all decided by steps 1-3."""
+    pairs = _no_double_description(monkeypatch)
+    rep = algebra.verify_valuation(families.GTFamily(family, n, lam),
+                                   random.Random(seed), samples=20,
+                                   mode="EXACT")
+    assert rep["ok"] and len(pairs) == rep["pairs"] > 0
+
+
+@pytest.mark.parametrize("profile", ["quick", "full"])
+def test_criterion_7_needs_no_double_description(monkeypatch, profile):
+    pairs = _no_double_description(monkeypatch)
+    rep = acceptance.criterion_7(random.Random(0),
+                                 acceptance.PROFILES[profile])
+    assert rep["pass"] and pairs
+
+
+def test_the_double_description_guard_refuses_a_step_4_pair(monkeypatch):
+    # the step-4 pair of test_equal_exact_decision_step
+    fam = families.GTFamily("C", 2, (2, 4))
+    lat = small_fam_lat(fam)
+    a = _element(lat, (0, 0, 1, 1), (0, 0, 0, 2), (0, 0, 2, 0))
+    b = _element(lat, (0, 0, 0, 2), (0, 0, 2, 0))
+    _no_double_description(monkeypatch)
+    with pytest.raises(AssertionError, match="double description"):
+        semialgebra.equal_exact(fam, a, b)
