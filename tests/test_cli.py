@@ -146,6 +146,32 @@ def test_dualcheck_stdout_is_pinned(runner, family, digest):
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("family, n, k, digest", [
+    ("gtA", 2, 1, "bd16597d7fd9f3c912d8dac0c3abfa28"
+                  "6842f237137e183ee51498411009dfe7"),
+    ("gtA", 2, 2, "47a3ef550c5d717b34a0fea30e0aecad"
+                  "171011be14cb56c0dbe362f02f18a240"),
+    ("gtA", 3, 1, "e83b4ac4e47dee7a265c54ed8849633d"
+                  "a3ce2c2bad69c412bcae5d69ceaf742d"),
+    ("gtA", 3, 2, "180f52e2d78857475969f68f2a997b3e"
+                  "bdf34055e824d32af07ff261cbfcd89b"),
+    ("gtC", 2, 1, "1b330b54f517adfb47a0cf81045bf0b0"
+                  "4102ccf855ffec280b7b77b9d7c080c0"),
+    ("gtC", 2, 2, "87294370ef98592b38843e8898871c26"
+                  "ce7f280f1f850b3f1a7b37e28de00481"),
+    ("gtC", 3, 1, "1bf51cabfb399ef2ea4756f1cb5b7e87"
+                  "e40a7af7235be3d563ca58359ad1a6ca"),
+    ("gtC", 3, 2, "5019b1070d0c4a364e7ded91d2eee353"
+                  "661e5d6f5082cc14672e73ae471a2220")])
+def test_transfer_stdout_is_pinned(runner, family, n, k, digest):
+    """Every chart's count, image count and match reaches the output, so
+    this pins the transfer check's report on all 2^d charts."""
+    result = runner.invoke(main, ["transfer", "--family", family,
+                                  "--n", str(n), "--k", str(k)])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("family", ["gtA", "gtC"])
 def test_dualcheck_passes_with_no_interior_position(runner, family):
     """At n = 1 the one dual cone holds every dual, so no chart needs an
