@@ -44,8 +44,11 @@ def _certify_generation(poset, u):
     rows are +-e_i or e_i - e_j with integer right-hand sides, and u is
     integral.  When both hold, every degree-k basis monomial is the product
     of the degree-1 monomials of its floor decomposition, at every k."""
+    rows = mco.build_mco(poset, frozenset()).rows
     mco._refuse("generation", [
-        mco._row_clause(mco.build_mco(poset, frozenset()).rows),
+        ("a chart-0 row is not +-e_i or e_i - e_j with an integer "
+         "right-hand side", all(type(b) is int and sorted(filter(None, a))
+                                in ([], [-1], [1], [-1, 1]) for a, b in rows)),
         ("an entry of u is not an int",
          all(type(s) is int for s in u.vector(poset)))])
 

@@ -8,15 +8,15 @@ translation-free linearization ``mu`` glues the charts of the polyptych
 lattice.
 
 The chart polytopes of one dilation are counted in one batch, searched from
-the top of the poset down (``_count_top_down``).
+the top of the poset down (``_count_top_down``).  The transfer check lists
+no point: it certifies row by row that mu_C maps chart 0 into each chart C,
+from chart 0's rows and box (``_contained``).
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import combinations, repeat
-from math import inf
-from operator import add, mul, neg, sub
+from itertools import combinations, product
+from operator import add
 
 from . import geometry, posets
 from .posets import PosetError
@@ -97,18 +97,16 @@ def _chain_row(poset, index, dim, a, chain, b):
 # a transfer plan and a mu plan, memoized on the poset; the plans of a chart
 # are the full chart's plans restricted to it, so all charts share entries.
 # The forward maps read only their input x, so for every chart C
-#   mu(poset, C, x)[i] = mu(poset, full, x)[i] if axis[i] in C, else x[i];
-# verify_transfer_bijection therefore maps each point once, with the full
-# chart, and reads every chart's image from that.  The full mu plan is
-# triangular: each entry reads only x_q of lower covers q, which sort before
-# it.  So is every chart's plan, a restriction of it, and mu_C is injective
-# on Z^d: given y = mu_C(x), walking the plan in order recovers x_p as
-# y_p - m_p(x) from the x_q already recovered (x_q = y_q for q not in C),
-# which is what mu_inverse does.  For any y, the x so built has
-# x_p + m_p(x) = y_p, so mu_C(mu_inverse(y)) = y as well: mu_C is a
-# bijection of Z^d (and Q^d) with inverse mu_inverse.  Every mutation
-# mu_C2 o mu_C1^{-1} then satisfies the identity, inverse and cocycle
-# axioms, which is how acceptance criterion 3 certifies them.
+#   mu(poset, C, x)[i] = mu(poset, full, x)[i] if axis[i] in C, else x[i].
+# The full mu plan is triangular: each entry reads only x_q of lower covers
+# q, which sort before it.  So is every chart's plan, a restriction of it,
+# and mu_C is injective on Z^d: given y = mu_C(x), walking the plan in
+# order recovers x_p as y_p - m_p(x) from the x_q already recovered
+# (x_q = y_q for q not in C), which is what mu_inverse does.  For any y,
+# the x so built has x_p + m_p(x) = y_p, so mu_C(mu_inverse(y)) = y as
+# well: mu_C is a bijection of Z^d (and Q^d) with inverse mu_inverse.
+# Every mutation mu_C2 o mu_C1^{-1} then satisfies the identity, inverse
+# and cocycle axioms, which is how acceptance criterion 3 certifies them.
 #
 # mu is the transfer map linearized at a shift vector u: for every chart C
 # and every a in Q^d, mu(C, a) = transfer(C, a + u) - transfer(C, u) exactly
@@ -118,18 +116,7 @@ def _chain_row(poset, index, dim, a, chain, b):
 # candidate -u_q' exceeds the min at u, a large a_q' makes the two sides
 # differ at p by -u_q' - c; if m does, a large -a_q on every unmarked cover
 # makes them differ by m - c.
-#
-# Choosing which candidate attains each min of the full mu plan cuts R^d
-# into cells, closed cones with rows -x_q <= -x_q' or -x_q <= 0 (a marked
-# cover's candidate is 0), on each of which every mu_C is linear.  Chart 0's
-# rows are +-e_i or e_i - e_j with integer right-hand sides (Fang and
-# Fourier, "Marked chain-order polytopes", European J. Combin. 58, 2016),
-# and so are the cells', so chart 0 meets each cell in a polytope whose
-# matrix is totally unimodular and whose vertices are lattice points
-# (Hoffman and Kruskal, "Integral boundary points of convex polyhedra",
-# 1956).  mu_C maps all of chart 0 into a polyhedron when it maps chart 0's
-# k = 1 points there, and mu is positively homogeneous; this is how
-# verify_transfer_bijection checks every k from the k = 1 points.
+
 
 def _plans(poset, chart):
     """(transfer plan, mu plan) of a frozenset chart: rank-ordered tuples of
@@ -329,95 +316,93 @@ def _refuse(certificate, clauses):
                 f"{certificate} certificate: {clause}")
 
 
-def _row_clause(rows):
-    """The (clause, holds) pair that the transfer and generation
-    certificates share."""
-    return ("a chart-0 row is not +-e_i or e_i - e_j with an integer "
-            "right-hand side",
-            all(type(b) is int and sorted(c for c in a if c)
-                in ([], [-1], [1], [-1, 1]) for a, b in rows))
+def _box_rows(box):
+    """The bounds lo <= x_i <= hi of a box as rows e_i >= lo and
+    -e_i >= -hi."""
+    return [(tuple(s * (j == i) for j in range(len(box))), s * bound)
+            for i, bounds in enumerate(box)
+            for s, bound in zip((1, -1), bounds)]
 
 
-def _certify(plan, rows):
-    """Refuse a full mu plan and chart 0's rows failing the transfer
-    certificate."""
-    _refuse("transfer", [
-        ("the mu plan is not triangular", _triangular(plan)),
-        ("a mu plan constant is neither None nor 0",
-         all(m in (None, 0) for _, _, m in plan)),
-        _row_clause(rows)])
+def _floor(poly, box):
+    """Each coefficient vector a among the rows of poly, the bounds of box
+    and the sums of two bounds, mapped to its largest right-hand side b
+    (the last once sorted): a.z >= b at every point z of poly in box."""
+    bounds = _box_rows(box)
+    return dict(sorted([*poly.rows, *bounds, *(
+        (tuple(map(add, a1, a2)), b1 + b2)
+        for (a1, b1), (a2, b2) in combinations(bounds, 2))]))
 
 
-def _least(columns, form, size):
-    """The least value over the size stored points of a linear form given
-    as (column, coefficient) pairs, where columns[j] holds coordinate j of
-    every point; inf when there are no points."""
-    if not size:
-        return inf
-    values = None
-    for j, c in form:
-        column = columns[j]
-        if c not in (1, -1):  # build_mco's rows and the box bounds are +-1
-            column, c = map(mul, repeat(c), column), 1
-        if values is None:
-            values = column if c == 1 else map(neg, column)
-        else:
-            values = map(add if c == 1 else sub, values, column)
-    return 0 if values is None else min(values)
+def _candidates(a, c, lower, m):
+    """The candidates of a mu-plan entry that bound c times its min from
+    below in a row reading a, as (slot, coefficient) pairs: -z_j is
+    (j, -1), and the constant m is (d, m), on a slot past the d axes.
+    Every one when c > 0; when c < 0, the one the row also reads (a chain
+    row's chain predecessor), else the last one."""
+    every = [(j, -1) for j in lower] + ([] if m is None else [(len(a), m)])
+    read = [(j, -1) for j in lower if a[j]]
+    return every if c > 0 else read[:1] or every[-1:]
+
+
+def _contained(poset, chart, floor, poly, box):
+    """Whether every row (a, b) of a chart C's poly and box holds at
+    mu_C(z), a.mu_C(z) >= b, for every point z meeting floor's rows.
+
+    For p in C, mu_C(z)_p = z_p + min(-z_q over p's unmarked lower covers
+    q, m).  Bounding a_p times each such min by ``_candidates`` bounds
+    a.mu_C(z) from below by the least of the forms L.z + const, one per
+    pick of a candidate at each entry of C's mu plan, and each must
+    satisfy floor[L] + const >= b.
+    """
+    plan = _plans(poset, chart)[1]
+    for a, b in [*poly.rows, *_box_rows(box)]:
+        for picks in product(*[[(j, a[i] * v) for j, v in _candidates(
+                a, a[i], lower, m)] for i, lower, m in plan if a[i]]):
+            form = [*a, 0]  # L, then const
+            for j, v in picks:
+                form[j] += v
+            least = floor.get(tuple(form[:-1]))
+            if least is None or least + form[-1] < b:
+                return False
+    return True
 
 
 def verify_transfer_bijection(poset, u, k):
     """Per chart C: the count of k times the chart-C polytope, and whether
     mu_C maps the chart-0 points onto its points; returns a report dict.
 
-    Only chart 0 is listed, at ``level``, and each of its points z is mapped
-    once, with the full chart: mu(poset, C, z) equals mu(poset, full, z) on
-    the coordinates in C and z elsewhere, so the chart-C image is a pick of
-    d of the 2d stored columns of (z, mu(poset, full, z)).  The points of
-    every chart, chart 0 included, are counted at k in one batch that
-    shares its memo, searched top down (``_count_top_down``), not listed.
+    The points of every chart, chart 0 included, are counted at k in one
+    batch that shares its memo, searched top down (``_count_top_down``).
+    Nothing is listed and nothing is mapped.
 
-    Why the check holds: when the full mu plan is triangular, mu_C is
-    injective on Z^d (see the transfer-maps comment), so the count_0 points
-    of k times chart 0 have count_0 distinct images.  If those images lie
-    inside k times the chart-C polytope and its box, they are count_0 of
-    its count points, and all of them exactly when count == count_0.  So
-    match <=> inside and count == count_0, and image_count is count_0.  A
-    least value depends only on the row's coefficients on the 2d columns,
-    so it is computed once per such form and call.
+    Why the check holds: when the full mu plan is triangular, which the
+    transfer certificate checks first, mu_C is injective on Z^d (see the
+    transfer-maps comment), so the count_0 points of k times chart 0 have
+    count_0 distinct images.  If those images lie inside k times the
+    chart-C polytope and its box, they are count_0 of its count points,
+    and all of them exactly when count == count_0.  So match <=> inside
+    and count == count_0, and image_count is count_0.
 
-    Why listing at ``level = min(k, 1)`` suffices: chart 0 meets each cell
-    of the mu plan in a polytope with lattice vertices, all among the points
-    at k = 1 (see the transfer-maps comment).  If those map inside the
-    chart-C polytope and its box, all of chart 0 does, and so at every k,
-    since mu and the box are positively homogeneous.  ``_certify`` checks
-    the hypotheses, which build_mco and _compile make hold on every poset:
-    a triangular mu plan with constants None or 0, and chart-0 rows +-e_i
-    or e_i - e_j.
+    Inside is certified row by row at k itself (``_contained``), against
+    the ``_floor`` of chart 0's rows and box at k, so it needs neither
+    homogeneity nor lattice vertices.  The certificate is complete when u
+    is constant on ranks and equal to the marking there, as every
+    ``choose_u`` is: each chain row telescopes through its chain
+    predecessors to chart 0's cover row under its top, each x_p >= 0 row
+    splits into p's cover rows, the box bounds reduce to chart-0 box
+    bounds or sums of two of them, and every right-hand side involved is
+    equal.
     """
-    axis = poset.axis
-    full = frozenset(axis)
-    d = len(axis)
+    _refuse("transfer", [("the mu plan is not triangular", _triangular(
+        _plans(poset, frozenset(poset.axis))[1]))])
     charts = charts_of(poset)
-    polys = [hat_delta(poset, u, chart) for chart in charts]
-    _certify(_plans(poset, full)[1], polys[0].rows)
-    level = min(k, 1)
-    counts = _count_top_down(poset, ((poly.dilate(k), _box(poset, u, chart, k))
-                                     for chart, poly in zip(charts, polys)))
-    base = geometry.lattice_points(polys[0].dilate(level),
-                                   _box(poset, u, frozenset(), level))
-    n = len(base)
-    columns = [*zip(*base), *zip(*[mu(poset, full, z) for z in base])]
-    del base
-    least = cache(lambda form: _least(columns, form, n))
+    systems = [_dilated(poset, u, chart, k) for chart in charts]
+    counts = _count_top_down(poset, systems)
+    floor = _floor(*systems[0])
     report = {"k": k, "charts": {}, "ok": True}
-    for chart, poly, count in zip(charts, polys, counts):
-        pick = [i + d if p in chart else i for i, p in enumerate(axis)]
-        forms = [(tuple((j, c) for j, c in zip(pick, a) if c), level * b)
-                 for a, b in poly.rows]
-        for j, (lo, hi) in zip(pick, _box(poset, u, chart, level)):
-            forms += [(((j, 1),), lo), (((j, -1),), -hi)]
-        ok = count == counts[0] and all(least(form) >= b for form, b in forms)
+    for chart, system, count in zip(charts, systems, counts):
+        ok = count == counts[0] and _contained(poset, chart, floor, *system)
         report["charts"][chart_str(chart)] = {
             "count": count, "image_count": counts[0], "match": ok}
         report["ok"] = report["ok"] and ok

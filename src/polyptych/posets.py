@@ -71,6 +71,10 @@ class MarkedPoset:
             raise PosetError("a marked poset needs at least one element")
         if len(set(self.elements)) != len(self.elements):
             raise PosetError("duplicate element names")
+        for e in self.elements:
+            if not e or "," in e:
+                raise PosetError(
+                    f"element name {e!r} is empty or has a comma")
         self.covers = tuple(sorted((q, p) for q, p in covers))
         for a, b in zip(self.covers, self.covers[1:]):
             if a == b:

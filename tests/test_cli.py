@@ -439,3 +439,27 @@ def test_repeated_cover_is_usage_error(runner, tmp_path, command):
         marked={"a": 0, "c": 2}))
     result = runner.invoke(main, [command, "--poset", path])
     assert_usage_error(result, "repeated cover")
+
+
+# charts are named by their comma-joined element names, with "" the order
+# chart: {"a,b"} would be named as {"a", "b"}, and {""} as chart 0
+COMMA_NAME = {"elements": ["bot", "a", "b", "a,b", "top"],
+              "covers": [["bot", "a"], ["bot", "b"], ["bot", "a,b"],
+                         ["a", "top"], ["b", "top"], ["a,b", "top"]],
+              "marked": {"bot": 0, "top": 2}}
+EMPTY_NAME = {"elements": ["bot", "", "p", "top"],
+              "covers": [["bot", ""], ["bot", "p"], ["", "top"],
+                         ["p", "top"]],
+              "marked": {"bot": 0, "top": 2}}
+
+
+@pytest.mark.parametrize("command", ["validate", "transfer", "hilbert"])
+@pytest.mark.parametrize("content, name", [(COMMA_NAME, "'a,b'"),
+                                           (EMPTY_NAME, "''")],
+                         ids=["comma", "empty"])
+def test_name_that_breaks_a_chart_name_is_usage_error(runner, tmp_path,
+                                                      command, content, name):
+    path = _poset_file(tmp_path, content)
+    result = runner.invoke(main, [command, "--poset", path])
+    assert_usage_error(result, "cannot load poset",
+                       f"element name {name} is empty or has a comma")

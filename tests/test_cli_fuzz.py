@@ -30,7 +30,7 @@ def _flaws(names):
         ("mark", some, 1.5), ("mark", some, True), ("mark", some, "7"),
         ("mark", some, "x"), ("mark", "zz", 0),
         ("cover", [some, "zz"]), ("cover", [some, some]), ("repeat",),
-        ("set", "extra", 1), ("duplicate", some),
+        ("set", "extra", 1), ("duplicate", some), ("comma", some),
         ("whole", [names]),
     ])
 
@@ -91,6 +91,9 @@ def poset_documents(draw):
         doc["covers"] += doc["covers"][:1]
     elif kind == "duplicate":
         doc["elements"] = names + [args[0]]
+    elif kind == "comma":  # a name with a comma, in every place it occurs
+        doc = json.loads(json.dumps(doc).replace(
+            f'"{args[0]}"', f'"{args[0]},e9"'))
     else:
         return args[0]
     return doc

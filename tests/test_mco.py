@@ -9,7 +9,7 @@ import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
-from polyptych import cli, families, geometry, lattice, mco
+from polyptych import acceptance, cli, families, geometry, lattice, mco
 from polyptych.posets import (MarkedPoset, PosetError, ShiftVector, choose_u,
                               gt_type_A, gt_type_C)
 
@@ -166,10 +166,8 @@ def test_containment_alone_fails_a_raised_row(fam_A2, monkeypatch):
 
 @pytest.mark.parametrize("name,k", [("A2", 2), ("A2", 3), ("A2w", 2)])
 def test_raised_row_fails_at_every_k_as_the_oracle(name, k, monkeypatch):
-    # chart 0 is listed at k = 1 only; the raised row is refused all the
-    # same, by its count and by containment alone, against the row at k = 1
-    # (on A2w it reads -1 there and -2 at k = 2, where the k = 1 points
-    # would meet it)
+    # the raised row is refused at every k, by its count and by
+    # containment alone (on A2w it reads -1 at k = 1 and -2 at k = 2)
     p = _poset(name)
     u = choose_u(p)
     spoiled = frozenset(p.axis[1:])
@@ -205,18 +203,10 @@ def test_lowered_row_is_refused_by_the_count(fam_A2, monkeypatch):
     assert mco.verify_transfer_bijection(p, u, 2)["ok"] is True
 
 
-def _counting_mu(monkeypatch):
-    """Record the chart of every mu call, reached through the module."""
-    charts = []
-    full = mco.mu
-    monkeypatch.setattr(mco, "mu", lambda *a: charts.append(a[1]) or full(*a))
-    return charts
-
-
-def test_non_alcoved_chart_0_row_fails_the_certificate(fam_C2,
-                                                       monkeypatch):
+def test_redundant_chart_0_row_leaves_the_report_as_the_oracle(fam_C2,
+                                                               monkeypatch):
     # the sum of two chart-0 rows is redundant but not of the form +-e_i or
-    # e_i - e_j, so the certificate refuses before any point is mapped
+    # e_i - e_j; the certificate reads it as one more floor entry
     p = fam_C2.poset
     u = choose_u(p)
     built = mco.hat_delta
@@ -230,24 +220,22 @@ def test_non_alcoved_chart_0_row_fails_the_certificate(fam_C2,
         return geometry.HPolyhedron(poly.dim, [*poly.rows, row])
 
     monkeypatch.setattr(mco, "hat_delta", redundant)
-    charts = _counting_mu(monkeypatch)
-    with pytest.raises(geometry.UnimodularityFail, match="chart-0 row"):
-        mco.verify_transfer_bijection(p, u, 2)
-    assert charts == []
+    rep = mco.verify_transfer_bijection(p, u, 2)
+    assert rep == _oracle_report(p, u, 2)
+    assert rep["ok"] is True
 
 
 def test_transfer_plan_in_place_of_mu_fails_the_certificate(monkeypatch):
-    # the transfer plan's marked covers give -lam, not 0: transfer is not
-    # homogeneous, so the k = 1 points cannot stand for k
+    # the transfer plan's marked covers give -lam, not 0: its images leave
+    # the chart polytopes, and the certificate's constants say so
     p = gt_type_A(2, (0, 2, 4))  # a fresh poset: the plan memo is spoiled
     u = choose_u(p)
     plans = mco._plans
     monkeypatch.setattr(mco, "_plans",
                         lambda poset, chart: (plans(poset, chart)[0],) * 2)
-    charts = _counting_mu(monkeypatch)
-    with pytest.raises(geometry.UnimodularityFail, match="constant"):
-        mco.verify_transfer_bijection(p, u, 2)
-    assert charts == []
+    rep = mco.verify_transfer_bijection(p, u, 2)
+    assert rep == _oracle_report(p, u, 2)
+    assert rep["ok"] is False
 
 
 def _later_axis_plans(monkeypatch, p):
@@ -296,27 +284,46 @@ def test_strict_dual_injectivity_is_refused_on_a_non_triangular_plan(
                                    chart_samples=1)
 
 
-@pytest.mark.parametrize("poset", [
-    gt_type_A(2, (0, 2, 4)), gt_type_A(3, (0, 2, 4, 6)),
-    gt_type_A(4, (0, 2, 4, 6, 8)), gt_type_C(2, (2, 4)),
-    gt_type_C(3, (2, 4, 6)), gt_type_C(4, (2, 4, 6, 8))],
+def _uncertified(poset, u, k, charts):
+    """The charts whose rows and box bounds at k the transfer certificate
+    does not derive from chart 0's."""
+    floor = mco._floor(*mco._dilated(poset, u, frozenset(), k))
+    return [chart for chart in charts
+            if not mco._contained(poset, chart, floor,
+                                  *mco._dilated(poset, u, chart, k))]
+
+
+@pytest.mark.parametrize("poset, stride", [
+    (gt_type_A(2, (0, 2, 4)), 1), (gt_type_A(3, (0, 2, 4, 6)), 1),
+    (gt_type_A(4, (0, 2, 4, 6, 8)), 1), (gt_type_C(2, (2, 4)), 1),
+    (gt_type_C(3, (2, 4, 6)), 1), (gt_type_C(4, (2, 4, 6, 8)), 64)],
     ids=["A2", "A3", "A4", "C2", "C3", "C4"])
-def test_the_transfer_certificate_holds_on_the_families(poset):
-    # hat_delta's chart-0 rows are build_mco's, translated
-    mco._certify(mco._plans(poset, frozenset(poset.axis))[1],
-                 mco.build_mco(poset, frozenset()).rows)
+def test_the_transfer_certificate_holds_on_the_families(poset, stride):
+    # every chart on the others; on C4 every 64th of its 65,536 charts,
+    # as all of them take about a minute
+    u = choose_u(poset)
+    charts = mco.charts_of(poset)[::stride]
+    for k in (1, 2):
+        assert _uncertified(poset, u, k, charts) == []
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
 def test_the_transfer_certificate_holds_on_random_dags(size):
-    # most of these posets are not graded, so they have no shift vector
-    # and no transfer check; the certificate reads no shift vector.  Seven
-    # draws at size 2 and one at size 3 mark no middle element.
+    # every draw's plan is triangular; the containment is certified on the
+    # draws the CLI accepts, at its shift vector (the others are not
+    # graded, and the CLI checks no transfer on them)
     rng = random.Random(size)
+    kept = 0
     for _ in range(40):
         poset = random_dag(rng, size)
-        mco._certify(mco._plans(poset, frozenset(poset.axis))[1],
-                     mco.build_mco(poset, frozenset()).rows)
+        assert mco._triangular(mco._plans(poset, frozenset(poset.axis))[1])
+        u = _cli_shift(poset)
+        if u is None:
+            continue
+        kept += 1
+        for k in (1, 2):
+            assert _uncertified(poset, u, k, mco.charts_of(poset)) == []
+    assert kept == [40, 37, 23, 14, 6][size - 2]
 
 
 @pytest.mark.parametrize("poset", [
@@ -356,18 +363,22 @@ def test_full_mu_plans_are_triangular():
         assert mco._triangular(mco._plans(p, frozenset(p.axis))[1])
 
 
-def test_one_mu_call_per_chart_0_point(monkeypatch):
-    # each chart-0 point is mapped once with the full chart, not once per
-    # chart; past k = 1 the certificate lets the k = 1 points stand for k
-    charts = _counting_mu(monkeypatch)
-    for name, k, points in [("C2", 1, 81), ("A2", 2, 27)]:
+def test_the_transfer_check_lists_and_maps_nothing(monkeypatch):
+    # the containment is a certificate: no point is listed or mapped, in
+    # the check or in criteria 1 and 2 under either profile
+    def refuse(*args):
+        raise AssertionError("listed or mapped a point")
+
+    monkeypatch.setattr(geometry, "lattice_points", refuse)
+    monkeypatch.setattr(mco, "mu", refuse)
+    monkeypatch.setattr(mco, "mu_inverse", refuse)
+    for name in ("A2", "C2", "A3"):
         p = _poset(name)
-        u = choose_u(p)
-        charts.clear()
-        mco.verify_transfer_bijection(p, u, k)
-        base = mco.lattice_points_of_hat_delta(p, u, frozenset(), 1)
-        assert len(charts) == len(base) == points
-        assert set(charts) == {frozenset(p.axis)}
+        for k in range(3):
+            assert mco.verify_transfer_bijection(p, choose_u(p), k)["ok"]
+    for cfg in acceptance.PROFILES.values():
+        for criterion in (acceptance.criterion_1, acceptance.criterion_2):
+            assert criterion(random.Random(0), cfg)["pass"]
 
 
 @pytest.mark.parametrize("name", ["C2", "A3"])
@@ -648,3 +659,111 @@ def test_definition_without_a_chain_row_disagrees_on_some_poset():
                  settings=settings(max_examples=60, derandomize=True,
                                    deadline=None))
     assert _count_mismatch(poset, True) and not _count_mismatch(poset)
+
+
+# ---------------------------------------------------------------------------
+# the transfer certificate against the listing oracle
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(marked_posets())
+def test_transfer_report_equals_the_oracle_on_marked_posets(poset):
+    u = _cli_shift(poset)
+    for k in range(3 if u is not None else 0):
+        assert mco.verify_transfer_bijection(poset, u, k) == _oracle_report(
+            poset, u, k), poset.to_json()
+
+
+def test_transfer_report_equals_the_oracle_on_random_dags():
+    # every draw the CLI accepts is compared; the others are not graded
+    rng = random.Random(34)
+    kept = 0
+    for trial in range(60):
+        poset = random_dag(rng, 2 + trial % 4)
+        u = _cli_shift(poset)
+        if u is None:
+            continue
+        kept += 1
+        for k in range(3):
+            assert mco.verify_transfer_bijection(
+                poset, u, k) == _oracle_report(poset, u, k), poset.to_json()
+    assert kept == 40
+
+
+def _tampered_hat_delta(monkeypatch, spoiled, tamper):
+    """Let hat_delta return the spoiled chart's polytope with its rows
+    passed through tamper."""
+    built = mco.hat_delta
+
+    def tampered(poset, u, chart):
+        poly = built(poset, u, chart)
+        if chart != spoiled:
+            return poly
+        return geometry.HPolyhedron(poly.dim, tamper(list(poly.rows)))
+
+    monkeypatch.setattr(mco, "hat_delta", tampered)
+
+
+def _single_row_tampers(p):
+    """(chart, tamper) pairs: each chart-0 row dropped, and each row of
+    chart axis[1:] raised by 1."""
+    def drop(i):
+        return lambda rows: rows[:i] + rows[i + 1:]
+
+    def raise_(i):
+        return lambda rows: [(a, b + (r == i)) for r, (a, b) in
+                             enumerate(rows)]
+
+    spoiled = frozenset(p.axis[1:])
+    return ([(frozenset(), drop(i))
+             for i in range(len(mco.build_mco(p, frozenset()).rows))]
+            + [(spoiled, raise_(i))
+               for i in range(len(mco.build_mco(p, spoiled).rows))])
+
+
+@pytest.mark.parametrize("name, tampers, refusals", [
+    ("A2", 12, 10), ("C2", 16, 13), ("A3", 25, 23)])
+def test_every_single_row_tamper_reports_as_the_oracle(name, tampers,
+                                                       refusals, monkeypatch):
+    # a tamper the report does not refuse leaves every count and image as
+    # they were (a row that is not tight).  The oracle lists each system
+    # once and maps each point once per chart across the sweep
+    p = _poset(name)
+    u = choose_u(p)
+    listed = {}
+    lister = geometry.lattice_points
+
+    def list_once(poly, box):
+        key = (tuple(poly.rows), tuple(box))
+        if key not in listed:
+            listed[key] = lister(poly, box)
+        return listed[key]
+
+    monkeypatch.setattr(geometry, "lattice_points", list_once)
+    monkeypatch.setattr(mco, "mu", cache(mco.mu))
+    cases = _single_row_tampers(p)
+    refused = 0
+    for chart, tamper in cases:
+        with pytest.MonkeyPatch.context() as spoil:
+            _tampered_hat_delta(spoil, chart, tamper)
+            rep = mco.verify_transfer_bijection(p, u, 1)
+            assert rep == _oracle_report(p, u, 1)
+            refused += not rep["ok"]
+    assert (len(cases), refused) == (tampers, refusals)
+
+
+def test_first_candidate_in_place_of_the_predecessor_fails_the_oracle(
+        monkeypatch):
+    # negative control: a chain row bounded by a lower cover off its chain
+    # no longer telescopes to a chart-0 row
+    candidates = mco._candidates
+
+    def first(a, c, lower, m):
+        every = candidates(a, 1, lower, m)
+        return every if c > 0 else every[:1]
+
+    monkeypatch.setattr(mco, "_candidates", first)
+    for name in ("A2", "C2", "A3"):
+        p = _poset(name)
+        u = choose_u(p)
+        assert mco.verify_transfer_bijection(p, u, 1) != _oracle_report(
+            p, u, 1)
